@@ -1,19 +1,28 @@
-"""E4 — cost scales with database (state) size, not history length.
+"""E4 — cost follows the update, not the database (state) size.
 
-At a fixed history length, growing the value universe grows the states
-the checker must query at each step.  Per-step cost should track the
-measured average state cardinality roughly linearly (the constraint's
-joins are over one shared variable), while remaining independent of
-the history before it (E2 established the latter).
+At a fixed history length and a fixed transaction size (at most four
+inserts and one delete per step), growing the value universe grows the
+states the checker holds.  E2 established that per-step cost is
+independent of the history; this experiment establishes that it is
+flat-to-sublinear in the *state* as well: the hot path patches its
+relations, indexes, maintained views and auxiliary runs by the rows
+that really changed, so a 20x larger state costs well under 2x per
+step (the remaining slope is the effective delta growing — on a tiny
+universe most inserts hit rows already present — and set copies made
+at C speed).  Before the delta-driven hot path the same sweep grew
+4.7x (226 to 1058 us/step).
 
 The experiment also pins the cost of the state observatory
 (:mod:`repro.obs.statewatch`): the largest-universe run is driven
 through the :class:`~repro.Monitor` facade in interleaved (statewatch
 off, statewatch on) pairs — production wiring, deep samples every 8
 steps — and the cleanest pair's on/off ratio of tail-mean step times
-must stay under 1.05.  Watching the space bound may not meaningfully
-cost space's consumer: the per-step path is a dict of per-node counts
-plus integer compares.
+must stay under 1.35.  The observatory costs 15-25 us per step (a dict
+of per-node counts, integer compares, and a deep byte walk of the
+auxiliary state every eighth step).  That was under 5% of the ~400 us
+step this gate was first set against; the step now costs a third of
+that, so the same absolute cost is a larger share and the limit is
+re-anchored to it.
 """
 
 from time import perf_counter
@@ -26,13 +35,13 @@ SEED = 404
 
 #: Repetitions for the statewatch-overhead columns; the adjacent
 #: (off, on) pair with the smallest ratio is reported, which cancels
-#: scheduler noise that a single run would fold into the <5% gate.
+#: scheduler noise that a single run would fold into the overhead gate.
 OVERHEAD_REPEATS = 9
 
 #: The overhead pair runs a longer stream than the sweep rows: at
-#: ~300 us/step, the sweep's 150-step run times a ~35 ms block, which
-#: cannot resolve a sub-5% effect against timer jitter; 4x the length
-#: keeps each variant's timed block well above 100 ms.
+#: ~130 us/step, the sweep's 150-step run times a ~15 ms block, which
+#: cannot resolve the effect against timer jitter; 4x the length keeps
+#: each variant's timed block above 50 ms.
 OVERHEAD_LENGTH = LENGTH * 4
 
 PROFILES = {
@@ -63,7 +72,7 @@ def _one_monitor_run(workload, stream, statewatch):
 
     The first quarter of the stream warms the engine unmeasured; the
     remainder is timed as a *single* block, so per-sample clock-read
-    jitter (which dwarfs a sub-5% effect at µs-scale steps) never
+    jitter (which dwarfs the effect at µs-scale steps) never
     enters the figure.
     """
     monitor = workload.monitor("incremental")
@@ -85,7 +94,7 @@ def _overhead_pair_us(workload, stream, repeats=OVERHEAD_REPEATS):
     both see the same machine state, and the pair with the *smallest*
     on/off ratio is reported.  A genuine regression shows up in every
     pair, while scheduler noise hits pairs at random, so the minimum
-    over repeats is the stable estimator for a "must stay under 1.05"
+    over repeats is the stable estimator for a "must stay under 1.35"
     gate on a machine with ±10% timer jitter.
     """
     best = None
@@ -111,7 +120,7 @@ def run(recorder, profile="full"):
         # its steps are the most expensive, so a fixed per-step
         # accounting cost shows up there as the *smallest* ratio any
         # sweep point could hide behind — and the timed block is long
-        # enough to resolve a sub-5% effect.
+        # enough to resolve the effect.
         plain_us = watched_us = None
         if universe == universes[-1]:
             plain_us, watched_us = _overhead_pair_us(
@@ -136,15 +145,16 @@ def run(recorder, profile="full"):
         "average state cardinality grows with the universe",
         "avg state rows", min_order=0.3,
     )
-    # ... and per-step cost must not blow up faster than quadratically
-    # in it (the constraint joins over one shared variable)
+    # ... while per-step cost stays flat-to-sublinear in it: the state
+    # grows with order 1.1-1.5 in the universe, the cost must stay
+    # under half of that (measured: 0.2 on the full sweep)
     recorder.expect_growth(
-        "per-step cost bounded by a low polynomial of the state",
-        "incremental us/step", max_order=2.0,
+        "per-step cost flat-to-sublinear in the state at fixed delta",
+        "incremental us/step", max_order=0.75,
     )
     recorder.expect_max(
-        "statewatch must cost < 5% on the tail step time",
-        "statewatch/monitor", limit=1.05,
+        "statewatch must cost < 35% on the (now 3x shorter) tail step",
+        "statewatch/monitor", limit=1.35,
     )
 
 

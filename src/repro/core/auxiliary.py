@@ -29,13 +29,28 @@ In every case, satisfaction *now* at time ``t`` reduces to the test
 steps depends only on the data and the metric horizon — never on the
 history length.  That is the paper's central claim, and
 :meth:`AuxiliaryState.tuple_count` is how the experiments measure it.
+
+The relation is the paper's; how it is *held* is chosen so that a step
+costs what changed, not what is stored.  A valuation that satisfies the
+anchor formula at consecutive states owns one anchor per state, so its
+timestamps are stored as *runs* over the shared axis of step times
+(``[first, last]``, still open while it keeps holding) rather than one
+entry per state: a resident valuation costs nothing per step, and a
+step touches only the valuations entering or leaving the operand, the
+runs whose start crosses ``t - low`` (an entry queue) and the runs
+whose end crosses ``t - high`` (an expiry queue).  The virtual table is
+patched by exactly those crossings, which is also the delta it reports
+upward (:meth:`repro.db.algebra.Table.delta_from`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import deque
 from sys import getsizeof
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+)
 
 from repro.core.formulas import Formula, Once, Prev, Since
 from repro.core.intervals import Interval
@@ -84,6 +99,12 @@ class AuxiliaryState:
 
     #: the temporal node this state encodes
     formula: Formula
+    #: the checkpoint spelling of the state's kind
+    kind: str
+    #: stored runs touched so far because a window bound passed them
+    #: (entries into ``t - low``, expiries past ``t - high``); PREV has
+    #: no window to maintain
+    bound_visits = 0
 
     def advance(self, time: Timestamp, evaluate_now: EvalFn) -> Table:
         """Process one new state; return the node's virtual table.
@@ -97,6 +118,29 @@ class AuxiliaryState:
         Returns:
             The satisfying valuations of the temporal node at ``time``.
         """
+        raise NotImplementedError
+
+    def dump(self) -> Dict[str, object]:
+        """The state as a JSON-able checkpoint entry (``type`` plus the
+        stored relation; derived structures are not part of it)."""
+        raise NotImplementedError
+
+    def load(self, entry: Dict[str, object]) -> None:
+        """Replace the state by a :meth:`dump` entry, rebuilding every
+        derived structure.
+
+        Raises:
+            MonitorError: the entry is of another kind of state.
+        """
+        raise NotImplementedError
+
+    def _check_kind(self, entry: Dict[str, object]) -> None:
+        if entry.get("type") != self.kind:
+            raise MonitorError("auxiliary state kind mismatch")
+
+    def anchors_of(self, valuation: Row) -> Optional[List[Timestamp]]:
+        """The stored evidence for one valuation: its anchor timestamps
+        (oldest first), or ``None`` when nothing is stored for it."""
         raise NotImplementedError
 
     def tuple_count(self) -> int:
@@ -146,6 +190,7 @@ class PrevState(AuxiliaryState):
     """Auxiliary state for ``PREV[I] f``."""
 
     __slots__ = ("formula", "_last_time", "_last_table")
+    kind = "prev"
 
     def __init__(self, formula: Prev):
         self.formula = formula
@@ -166,6 +211,30 @@ class PrevState(AuxiliaryState):
         )
         self._last_time = time
         return virtual
+
+    def dump(self) -> Dict[str, object]:
+        return {
+            "type": self.kind,
+            "last_time": self._last_time,
+            "columns": list(self._last_table.columns),
+            "rows": sorted(
+                [list(r) for r in self._last_table.rows], key=repr
+            ),
+        }
+
+    def load(self, entry: Dict[str, object]) -> None:
+        self._check_kind(entry)
+        self._last_time = entry["last_time"]
+        self._last_table = Table(
+            tuple(entry["columns"]), [tuple(r) for r in entry["rows"]]
+        )
+
+    def anchors_of(self, valuation: Row) -> Optional[List[Timestamp]]:
+        # one state of lookback: the operand either held at the last
+        # state (for a closed operand: held at all) or it did not
+        rows = self._last_table.rows
+        held = valuation in rows if self._last_table.columns else bool(rows)
+        return [self._last_time] if held else None
 
     def tuple_count(self) -> int:
         return len(self._last_table)
@@ -188,105 +257,448 @@ class PrevState(AuxiliaryState):
             yield row, 1
 
 
+class _Run:
+    """One valuation's anchors at consecutive states: every step time
+    from ``start`` to ``end`` (``None`` while the run is still open)."""
+
+    __slots__ = ("valuation", "start", "end", "entered", "alive")
+
+    def __init__(self, valuation: Row, start: Timestamp):
+        self.valuation = valuation
+        self.start = start
+        self.end: Optional[Timestamp] = None
+        #: ``start`` has reached ``t - low``: the run can satisfy
+        self.entered = False
+        #: still stored (not expired, not killed by SINCE survival)
+        self.alive = True
+
+
+class _NetChange:
+    """Members a set gained and lost since last asked, net of reversals
+    (gained then lost, or lost then gained, is no change)."""
+
+    __slots__ = ("gained", "lost")
+
+    def __init__(self) -> None:
+        self.gained: Set[Row] = set()
+        self.lost: Set[Row] = set()
+
+    def gain(self, member: Row) -> None:
+        if member in self.lost:
+            self.lost.discard(member)
+        else:
+            self.gained.add(member)
+
+    def lose(self, member: Row) -> None:
+        if member in self.gained:
+            self.gained.discard(member)
+        else:
+            self.lost.add(member)
+
+    def take(self) -> Tuple[Set[Row], Set[Row]]:
+        """``(gained, lost)``; the record starts over."""
+        change = self.gained, self.lost
+        self.gained, self.lost = set(), set()
+        return change
+
+
 class _AnchorMap:
     """Shared valuation → anchor-timestamps store for ONCE and SINCE.
 
-    Anchors arrive in non-decreasing time order, so per-valuation lists
-    stay sorted by construction.  ``bounded`` selects between the two
-    encodings of the paper: window pruning (finite upper bound) and
-    min-timestamp collapse (infinite upper bound).
+    The stored relation is the paper's: with a finite upper bound,
+    every (valuation, timestamp) at which the anchor formula held and
+    that is at most ``high`` old; with an infinite one, the minimal
+    timestamp per valuation (``collapse_unbounded``) or, in the E9
+    ablation, all of them.  Timestamps of one valuation at consecutive
+    states are held as one :class:`_Run`; :meth:`anchors_of`,
+    :meth:`dump` and the counts spell the relation out again.
+
+    Per step, :meth:`observe` is told which valuations entered and left
+    the anchor formula's table and touches only those, plus the runs
+    crossing the two window bounds.  ``visited`` counts the runs
+    touched by that bound maintenance (the cost-model tests read it).
     """
 
-    __slots__ = ("interval", "anchors", "collapse_unbounded")
+    __slots__ = (
+        "interval", "collapse_unbounded", "visited",
+        "_keeps_all", "_runs", "_open", "_entering", "_expiring", "_live",
+        "_times", "_counts", "_count", "_orphans", "_satisfied_change",
+        "_stored_change",
+    )
 
     def __init__(self, interval: Interval, collapse_unbounded: bool = True):
         self.interval = interval
-        self.anchors: Dict[Row, List[Timestamp]] = {}
         #: ablation switch: with False, unbounded intervals keep every
         #: anchor timestamp instead of only the minimum — semantics are
         #: unchanged (satisfaction still tests the minimum) but space
         #: grows with the history, which is exactly what the E9
         #: ablation experiment demonstrates the collapse prevents.
         self.collapse_unbounded = collapse_unbounded
+        self.visited = 0
+        #: every timestamp is stored (else only each valuation's first)
+        self._keeps_all = interval.is_bounded or not collapse_unbounded
+        self._reset()
 
-    def add(self, valuation: Row, time: Timestamp) -> None:
-        """Record that the anchor formula held for ``valuation`` now."""
-        existing = self.anchors.get(valuation)
-        if existing is None:
-            self.anchors[valuation] = [time]
-        elif self.interval.is_bounded or not self.collapse_unbounded:
-            if existing[-1] != time:
-                existing.append(time)
-        # unbounded + collapse: only the minimum matters, and
-        # existing[0] <= time already
+    def _reset(self) -> None:
+        #: stored valuations -> their runs, oldest first
+        self._runs: Dict[Row, List[_Run]] = {}
+        #: valuations holding at the latest state -> their open run
+        self._open: Dict[Row, _Run] = {}
+        #: runs whose start has not reached ``t - low`` yet, by start
+        self._entering: Deque[_Run] = deque()
+        #: closed runs awaiting ``end < t - high``, by end
+        self._expiring: Deque[_Run] = deque()
+        #: valuation -> entered live runs; the keys are the valuations
+        #: with an anchor at least ``low`` old
+        self._live: Dict[Row, int] = {}
+        #: the step times that can still carry anchors, and how many
+        #: anchors each carries (only when every timestamp is stored)
+        self._times: List[Timestamp] = []
+        self._counts: List[int] = []
+        self._count = 0
+        #: valuations killed since the last observe(): re-anchored by
+        #: it if the anchor formula still holds for them
+        self._orphans: List[Row] = []
+        # what the satisfying set and the stored valuations gained and
+        # lost since their consumer last asked
+        self._satisfied_change = _NetChange()
+        self._stored_change = _NetChange()
 
-    def prune(self, time: Timestamp) -> None:
-        """Drop anchors that can never satisfy the window again."""
-        if not self.interval.is_bounded:
+    # -- the per-step protocol ------------------------------------------
+
+    def remove(self, valuation: Row) -> None:
+        """Drop every anchor of ``valuation`` (SINCE survival failed)."""
+        for run in self._runs.pop(valuation):
+            run.alive = False
+            if self._keeps_all:
+                first, last = self._span(run)
+                for k in range(first, last):
+                    self._counts[k] -= 1
+                self._count -= last - first
+            if run.entered:
+                self._leave(valuation)
+        if not self._keeps_all:
+            self._count -= 1
+        self._open.pop(valuation, None)
+        self._orphans.append(valuation)
+        self._stored_change.lose(valuation)
+
+    def observe(
+        self,
+        time: Timestamp,
+        holding: "frozenset[Row]",
+        entered: Optional[Iterable[Row]],
+        left: Iterable[Row] = (),
+    ) -> None:
+        """Fold one new state in.
+
+        Args:
+            time: the new state's timestamp.
+            holding: the valuations for which the anchor formula holds
+                at the new state.
+            entered: those of them that did not hold at the previous
+                state (extra rows are harmless); ``None`` when the
+                previous table is unknown, in which case every row of
+                ``holding`` is looked at once.
+            left: valuations that held at the previous state and no
+                longer do.
+        """
+        keeps_all = self._keeps_all
+        if entered is None:
+            entered = holding
+            left = [v for v in self._open if v not in holding]
+        if keeps_all:
+            previous = self._times[-1] if self._times else None
+            for valuation in left:
+                run = self._open.pop(valuation, None)
+                if run is not None:
+                    run.end = previous
+                    if self.interval.is_bounded:
+                        self._expiring.append(run)
+        for valuation in entered:
+            self._anchor(valuation, time)
+        if self._orphans:
+            for valuation in self._orphans:
+                if valuation in holding:
+                    self._anchor(valuation, time)
+            self._orphans = []
+        if keeps_all:
+            anchored = len(self._open)
+            self._times.append(time)
+            self._counts.append(anchored)
+            self._count += anchored
+        if self.interval.is_bounded:
+            self._expire(time - self.interval.high)
+        entering = self._entering
+        threshold = time - self.interval.low
+        while entering and entering[0].start <= threshold:
+            run = entering.popleft()
+            self.visited += 1
+            if run.alive:
+                run.entered = True
+                self._enter(run.valuation)
+
+    def _anchor(self, valuation: Row, time: Timestamp) -> None:
+        """Record that the anchor formula holds for ``valuation`` now."""
+        runs = self._runs.get(valuation)
+        if runs is None:
+            runs = self._runs[valuation] = []
+            self._stored_change.gain(valuation)
+            if not self._keeps_all:
+                self._count += 1
+        elif not self._keeps_all or valuation in self._open:
+            # only the minimum matters and it is stored already, or
+            # the valuation's open run covers this state
             return
-        cutoff = time - self.interval.high  # keep ts >= cutoff
-        stale = []
-        for valuation, times in self.anchors.items():
-            if times[0] >= cutoff:
+        run = _Run(valuation, time)
+        runs.append(run)
+        if self._keeps_all:
+            self._open[valuation] = run
+        if self.interval.low == 0:
+            run.entered = True
+            self._enter(valuation)
+        else:
+            self._entering.append(run)
+
+    def _expire(self, cutoff: Timestamp) -> None:
+        """Forget the step times, and the runs, older than ``cutoff``."""
+        times = self._times
+        if times[0] < cutoff:
+            stale = bisect_left(times, cutoff)
+            self._count -= sum(self._counts[:stale])
+            del times[:stale]
+            del self._counts[:stale]
+        expiring = self._expiring
+        while expiring and expiring[0].end < cutoff:
+            run = expiring.popleft()
+            self.visited += 1
+            if not run.alive:
                 continue
-            kept = times[bisect_right(times, cutoff - 1):]
-            if kept:
-                self.anchors[valuation] = kept
-            else:
-                stale.append(valuation)
-        for valuation in stale:
-            del self.anchors[valuation]
+            run.alive = False
+            valuation = run.valuation
+            runs = self._runs[valuation]
+            runs.remove(run)  # the oldest run expires first
+            if not runs:
+                del self._runs[valuation]
+                self._stored_change.lose(valuation)
+            if run.entered:
+                self._leave(valuation)
 
-    def restrict(self, survivors: "set[Row]") -> None:
-        """Keep only the anchors of surviving valuations (SINCE)."""
-        self.anchors = {
-            v: ts for v, ts in self.anchors.items() if v in survivors
+    def _enter(self, valuation: Row) -> None:
+        live = self._live.get(valuation, 0)
+        self._live[valuation] = live + 1
+        if not live:
+            self._satisfied_change.gain(valuation)
+
+    def _leave(self, valuation: Row) -> None:
+        live = self._live[valuation] - 1
+        if live:
+            self._live[valuation] = live
+            return
+        del self._live[valuation]
+        self._satisfied_change.lose(valuation)
+
+    def take_satisfied_delta(self) -> Tuple[Set[Row], Set[Row]]:
+        """Valuations that gained / lost an anchor at least ``low`` old
+        since this was last asked."""
+        return self._satisfied_change.take()
+
+    def take_stored_delta(self) -> Tuple[Set[Row], Set[Row]]:
+        """Valuations that became / stopped being stored since this was
+        last asked."""
+        return self._stored_change.take()
+
+    def satisfied(self) -> Iterable[Row]:
+        """Valuations with an anchor at least ``low`` old."""
+        return self._live.keys()
+
+    def window_has_state(self, time: Timestamp) -> bool:
+        """Whether some state lies in ``[time - high, time - low]``.
+
+        Anchors sit at states, so with none in the window nothing is
+        satisfied, whatever is stored.  (A run that started before the
+        window and ends after it needs this test; all others do not.)
+        """
+        if self.interval.low == 0 or not self.interval.is_bounded:
+            return True
+        # _times holds exactly the states >= time - high
+        return self._times[0] <= time - self.interval.low
+
+    # -- reading the relation back --------------------------------------
+
+    def _span(self, run: _Run) -> Tuple[int, int]:
+        """Slice of ``_times`` holding the run's live anchors."""
+        times = self._times
+        last = len(times) if run.end is None else bisect_right(times, run.end)
+        return bisect_left(times, run.start), last
+
+    def stored(self) -> Iterable[Row]:
+        """The stored valuations."""
+        return self._runs.keys()
+
+    def anchors_of(self, valuation: Row) -> Optional[List[Timestamp]]:
+        """Stored timestamps of ``valuation``, oldest first."""
+        runs = self._runs.get(valuation)
+        if runs is None:
+            return None
+        if not self._keeps_all:
+            return [runs[0].start]
+        anchors: List[Timestamp] = []
+        for run in runs:
+            first, last = self._span(run)
+            anchors.extend(self._times[first:last])
+        return anchors
+
+    def dump(self) -> List[list]:
+        """The relation as sorted ``[valuation, timestamps]`` pairs."""
+        return sorted(
+            (
+                [list(valuation), self.anchors_of(valuation)]
+                for valuation in self._runs
+            ),
+            key=repr,
+        )
+
+    def load(self, pairs: Iterable[Tuple[Iterable, Iterable[Timestamp]]]) -> None:
+        """Replace the relation; every derived structure is rebuilt here.
+
+        The step axis is rebuilt from the anchors themselves: a state
+        at which nothing was anchored is not needed to tell which
+        timestamps are consecutive.  Runs ending at the newest state
+        are left open; the next :meth:`observe` closes those whose
+        valuation no longer holds.
+        """
+        self._reset()
+        anchors = {
+            # without keeps_all only the minimum is the relation
+            tuple(valuation): list(times) if self._keeps_all
+            else list(times)[:1]
+            for valuation, times in pairs
         }
-
-    def satisfied_rows(self, time: Timestamp) -> List[Row]:
-        """Valuations with an anchor inside the window at ``time``."""
-        threshold = time - self.interval.low  # need some ts <= threshold
-        return [
-            v for v, ts in self.anchors.items() if ts[0] <= threshold
-        ]
+        self._count = sum(len(times) for times in anchors.values())
+        if self._keeps_all:
+            carried: Dict[Timestamp, int] = {}
+            for times in anchors.values():
+                for ts in times:
+                    carried[ts] = carried.get(ts, 0) + 1
+            self._times = sorted(carried)
+            self._counts = [carried[ts] for ts in self._times]
+        position = {ts: k for k, ts in enumerate(self._times)}
+        newest = self._times[-1] if self._times else None
+        runs: List[_Run] = []
+        for valuation, times in anchors.items():
+            mine = self._runs[valuation] = []
+            for ts in times:
+                last = mine[-1] if mine else None
+                if (
+                    last is not None
+                    and self._keeps_all
+                    and position[last.end] + 1 == position[ts]
+                ):
+                    last.end = ts
+                else:
+                    run = _Run(valuation, ts)
+                    run.end = ts
+                    mine.append(run)
+            runs.extend(mine)
+        # queue order is time order; the next observe() lets every run
+        # old enough enter, after expiring the ones already too old
+        for run in sorted(runs, key=lambda run: run.start):
+            self._entering.append(run)
+        for run in sorted(runs, key=lambda run: run.end):
+            if not self._keeps_all or run.end == newest:
+                run.end = None
+                if self._keeps_all:
+                    self._open[run.valuation] = run
+            elif self.interval.is_bounded:
+                self._expiring.append(run)
 
     def tuple_count(self) -> int:
-        return sum(len(ts) for ts in self.anchors.values())
+        return self._count
 
     def valuation_count(self) -> int:
-        return len(self.anchors)
+        return len(self._runs)
 
     def oldest_anchor(self) -> Optional[Timestamp]:
-        # per-valuation lists are sorted, so the head of each is its
-        # minimum; the global oldest is the minimum over heads
-        if not self.anchors:
+        if not self._runs:
             return None
-        return min(ts[0] for ts in self.anchors.values())
+        if self._keeps_all:
+            # the oldest state that still carries an anchor
+            return next(
+                ts for ts, n in zip(self._times, self._counts) if n
+            )
+        return min(runs[0].start for runs in self._runs.values())
 
     def payload_bytes(self) -> int:
-        return deep_size(self.anchors)
+        # what is really held: the runs and the step axis they refer to
+        return deep_size((self._runs, self._times, self._counts))
 
     def iter_valuations(self) -> Iterator[Tuple[Row, int]]:
-        for valuation, times in self.anchors.items():
-            yield valuation, len(times)
+        for valuation, runs in self._runs.items():
+            if not self._keeps_all:
+                yield valuation, 1
+                continue
+            stored = 0
+            for run in runs:
+                first, last = self._span(run)
+                stored += last - first
+            yield valuation, stored
 
 
-class OnceState(AuxiliaryState):
-    """Auxiliary state for ``ONCE[I] f``."""
+class _AnchoredState(AuxiliaryState):
+    """What ``ONCE`` and ``SINCE`` share: an anchor map fed by the delta
+    of the anchor formula's table, and a virtual table patched by the
+    valuations crossing the window bounds."""
 
-    __slots__ = ("formula", "_columns", "_anchors")
+    __slots__ = ("formula", "_columns", "_anchors", "_holding", "_virtual")
 
-    def __init__(self, formula: Once, collapse_unbounded: bool = True):
+    def __init__(self, formula: Formula, collapse_unbounded: bool = True):
         self.formula = formula
         self._columns = _header(formula)
         self._anchors = _AnchorMap(formula.interval, collapse_unbounded)
+        #: the anchor formula's table at the latest state (``None``
+        #: before the first step and after a restore)
+        self._holding: Optional[Table] = None
+        #: valuations with an anchor at least ``low`` old, as a table
+        #: patched from step to step
+        self._virtual: Optional[Table] = None
 
-    def advance(self, time: Timestamp, evaluate_now: EvalFn) -> Table:
-        now_table = evaluate_now(self.formula.operand).project(self._columns)
-        for row in now_table.rows:
-            self._anchors.add(row, time)
-        self._anchors.prune(time)
-        return Table(self._columns, self._anchors.satisfied_rows(time))
+    def _fold(self, time: Timestamp, holding: Table) -> Table:
+        """Fold the anchor formula's new table in; emit the virtual
+        table.  A table that *is* last step's costs O(1) here."""
+        previous = self._holding
+        if previous is None:
+            self._anchors.observe(time, holding.rows, None)
+        else:
+            entered, left = holding.delta_from(previous)
+            self._anchors.observe(time, holding.rows, entered, left)
+        self._holding = holding
+        gained, lost = self._anchors.take_satisfied_delta()
+        if self._virtual is None:
+            self._virtual = Table._trusted(
+                self._columns, self._anchors.satisfied()
+            )
+        else:
+            self._virtual = self._virtual.with_changes(gained, lost)
+        if self._anchors.window_has_state(time):
+            return self._virtual
+        return Table._trusted(self._columns, ())
+
+    def dump(self) -> Dict[str, object]:
+        return {"type": self.kind, "anchors": self._anchors.dump()}
+
+    def load(self, entry: Dict[str, object]) -> None:
+        self._check_kind(entry)
+        self._anchors.load(entry["anchors"])
+        self._holding = None
+        self._virtual = None
+
+    def anchors_of(self, valuation: Row) -> Optional[List[Timestamp]]:
+        return self._anchors.anchors_of(valuation)
+
+    @property
+    def bound_visits(self) -> int:
+        return self._anchors.visited
 
     def tuple_count(self) -> int:
         return self._anchors.tuple_count()
@@ -304,46 +716,57 @@ class OnceState(AuxiliaryState):
         return self._anchors.iter_valuations()
 
 
-class SinceState(AuxiliaryState):
+class OnceState(_AnchoredState):
+    """Auxiliary state for ``ONCE[I] f``."""
+
+    __slots__ = ()
+    kind = "once"
+
+    def advance(self, time: Timestamp, evaluate_now: EvalFn) -> Table:
+        return self._fold(
+            time, evaluate_now(self.formula.operand).project(self._columns)
+        )
+
+
+class SinceState(_AnchoredState):
     """Auxiliary state for ``f SINCE[I] g``."""
 
-    __slots__ = ("formula", "_columns", "_anchors")
+    __slots__ = ("_candidates",)
+    kind = "since"
 
     def __init__(self, formula: Since, collapse_unbounded: bool = True):
-        self.formula = formula
-        self._columns = _header(formula)  # == sorted fv(g), as fv(f) ⊆ fv(g)
-        self._anchors = _AnchorMap(formula.interval, collapse_unbounded)
+        # columns == sorted fv(g), as fv(f) ⊆ fv(g)
+        super().__init__(formula, collapse_unbounded)
+        #: the stored valuations as a table, patched from step to step:
+        #: the context the left operand is evaluated in
+        self._candidates: Optional[Table] = None
 
     def advance(self, time: Timestamp, evaluate_now: EvalFn) -> Table:
+        anchors = self._anchors
+        if self._candidates is None:
+            self._candidates = Table._trusted(self._columns, anchors.stored())
         # 1. survival: existing anchors need the left operand to hold
         #    for their valuation at the new state
-        if self._anchors.anchors:
-            candidates = Table(self._columns, self._anchors.anchors.keys())
+        candidates = self._candidates
+        if candidates.rows:
             survivors = evaluate_now(self.formula.left, candidates)
-            self._anchors.restrict(set(survivors._aligned_rows(self._columns)))
+            for valuation in candidates.rows.difference(
+                survivors._aligned_rows(self._columns)
+            ):
+                anchors.remove(valuation)
         # 2. new anchors from the right operand (no survival test:
-        #    SINCE requires the left operand strictly *after* the anchor)
-        now_right = evaluate_now(self.formula.right).project(self._columns)
-        for row in now_right.rows:
-            self._anchors.add(row, time)
-        # 3. metric pruning
-        self._anchors.prune(time)
-        return Table(self._columns, self._anchors.satisfied_rows(time))
+        #    SINCE requires the left operand strictly *after* the
+        #    anchor), 3. metric pruning
+        virtual = self._fold(
+            time, evaluate_now(self.formula.right).project(self._columns)
+        )
+        stored, dropped = anchors.take_stored_delta()
+        self._candidates = candidates.with_changes(stored, dropped)
+        return virtual
 
-    def tuple_count(self) -> int:
-        return self._anchors.tuple_count()
-
-    def valuation_count(self) -> int:
-        return self._anchors.valuation_count()
-
-    def oldest_anchor(self) -> Optional[Timestamp]:
-        return self._anchors.oldest_anchor()
-
-    def payload_bytes(self) -> int:
-        return self._anchors.payload_bytes()
-
-    def iter_valuations(self) -> Iterator[Tuple[Row, int]]:
-        return self._anchors.iter_valuations()
+    def load(self, entry: Dict[str, object]) -> None:
+        super().load(entry)
+        self._candidates = None
 
 
 def make_auxiliary(

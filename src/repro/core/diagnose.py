@@ -35,8 +35,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.core.auxiliary import OnceState, PrevState, SinceState
-from repro.core.checker import IncrementalChecker, _StateProvider
+from repro.core.checker import IncrementalChecker
 from repro.core.foeval import evaluate
 from repro.core.formulas import And, Formula, Not, Once, Prev, Since
 from repro.core.violations import Violation
@@ -71,10 +70,7 @@ def _conjunct_verdict(checker, part, witness) -> Optional[bool]:
     context = _witness_context(witness, part.free_vars)
     try:
         if isinstance(checker, IncrementalChecker):
-            provider = _StateProvider(
-                checker.state, checker._last_virtual
-            )
-            return not evaluate(part, provider, context).is_empty
+            return not evaluate(part, checker._provider, context).is_empty
         from repro.core.adom import (
             ActiveDomainChecker,
             _AdomStateProvider,
@@ -167,18 +163,10 @@ def anchor_evidence(
 
     aux_map = getattr(checker, "_aux", None)
     if aux_map is not None and node in aux_map:
-        aux = aux_map[node]
-        if isinstance(aux, PrevState):
-            held = (
-                key in aux._last_table.rows
-                if columns
-                else bool(len(aux._last_table))
-            )
-            return _describe_prev(held)
-        assert isinstance(aux, (OnceState, SinceState))
-        return _describe_anchors(
-            aux._anchors.anchors.get(key), now, node.interval  # type: ignore[attr-defined]
-        )
+        anchors = aux_map[node].anchors_of(key)
+        if isinstance(node, Prev):
+            return _describe_prev(anchors is not None)
+        return _describe_anchors(anchors, now, node.interval)  # type: ignore[attr-defined]
 
     plans = getattr(checker, "_plans", None)
     if plans is not None:

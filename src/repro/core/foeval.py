@@ -16,7 +16,8 @@ and quantifiers project.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.formulas import (
     Aggregate,
@@ -37,7 +38,7 @@ from repro.core.formulas import (
     Var,
 )
 from repro.core.safety import analyze, explain_unsafe, order_conjuncts
-from repro.db.algebra import Table
+from repro.db.algebra import Table, tuple_of
 from repro.db.types import Row, Value
 from repro.errors import UnsafeFormulaError
 
@@ -52,15 +53,28 @@ SELECTIVE_PLANNING = True
 def _estimated_cardinality(
     formula: Formula, provider: AtomProvider
 ) -> int:
-    """Current size of a positive conjunct's table, for join ordering."""
-    try:
-        if isinstance(formula, Atom):
-            return len(provider.atom_table(formula))
-        if isinstance(formula, (Prev, Once, Since, Next, Eventually, Until)):
-            return len(provider.temporal_table(formula))
-    except Exception:
-        return 1 << 30
+    """Current size of a positive conjunct's table, for join ordering.
+
+    A provider that cannot resolve the conjunct raises here exactly as
+    it would when the conjunct is evaluated: a missing virtual table is
+    an ordering bug, not a reason to pick another join order.
+    """
+    if isinstance(formula, Atom):
+        return len(provider.atom_table(formula))
+    if isinstance(formula, (Prev, Once, Since, Next, Eventually, Until)):
+        return len(provider.temporal_table(formula))
     return 1 << 20  # nested structure: no cheap estimate
+
+
+@lru_cache(maxsize=4096)
+def _readiness(
+    operands: Tuple[Formula, ...], bound: FrozenSet[str]
+) -> Tuple[Optional[FrozenSet[str]], ...]:
+    """:func:`repro.core.safety.analyze` of every conjunct under
+    ``bound``.  Pure in its (immutable) arguments, so each conjunction
+    is analysed once per binding set rather than once per step; only
+    the ranking by live cardinality below is redone."""
+    return tuple(analyze(operand, bound) for operand in operands)
 
 
 def _plan_order(operands, ctx: Table, provider: AtomProvider):
@@ -80,11 +94,10 @@ def _plan_order(operands, ctx: Table, provider: AtomProvider):
     order = []
     current = bound
     while remaining:
-        candidates = [
-            (i, analyze(operands[i], current))
-            for i in remaining
+        results = _readiness(operands, current)
+        ready = [
+            (i, results[i]) for i in remaining if results[i] is not None
         ]
-        ready = [(i, res) for i, res in candidates if res is not None]
         if not ready:
             return None
         # filters: conjuncts that bind nothing new (negations, bound
@@ -110,9 +123,7 @@ def _plan_order(operands, ctx: Table, provider: AtomProvider):
             )
         order.append(chosen)
         remaining.remove(chosen)
-        updated = analyze(operands[chosen], current)
-        assert updated is not None
-        current = updated
+        current = results[chosen]
     return order
 
 
@@ -132,12 +143,15 @@ class AtomProvider:
         raise NotImplementedError
 
 
-def match_atom(rows: Iterable[Row], atom: Atom) -> Table:
-    """Pattern-match relation ``rows`` against an atom's term list.
+def atom_matcher(atom: Atom) -> Tuple[Tuple[str, ...], Callable]:
+    """Compile an atom's term list into ``(columns, match)``.
 
-    Constants select, repeated variables filter, and the result's
-    columns are the atom's distinct variables in first-occurrence
-    order — i.e. the satisfying valuations of the atom.
+    ``match(rows)`` pattern-matches relation rows against the atom:
+    constants select, repeated variables filter, and each surviving row
+    is projected onto the atom's distinct variables in first-occurrence
+    order (``columns``) — i.e. the satisfying valuations of the atom.
+    Matching rows map one-to-one to valuations, so the match of a
+    relation's delta is the delta of the atom's table.
     """
     var_positions: Dict[str, int] = {}
     const_checks: List[Tuple[int, Value]] = []
@@ -153,15 +167,28 @@ def match_atom(rows: Iterable[Row], atom: Atom) -> Table:
             else:
                 same_checks.append((first, pos))
     columns = tuple(var_positions)
-    take = [var_positions[c] for c in columns]
-    out: List[Row] = []
-    for row in rows:
-        if any(row[p] != v for p, v in const_checks):
-            continue
-        if any(row[p] != row[q] for p, q in same_checks):
-            continue
-        out.append(tuple(row[p] for p in take))
-    return Table(columns, out)
+    take = tuple_of([var_positions[c] for c in columns])
+
+    if not const_checks and not same_checks:
+        def match(rows: Iterable[Row]) -> List[Row]:
+            return list(map(take, rows))
+    else:
+        def match(rows: Iterable[Row]) -> List[Row]:
+            return [
+                take(row)
+                for row in rows
+                if not any(row[p] != v for p, v in const_checks)
+                and not any(row[p] != row[q] for p, q in same_checks)
+            ]
+
+    return columns, match
+
+
+def match_atom(rows: Iterable[Row], atom: Atom) -> Table:
+    """Pattern-match relation ``rows`` against an atom's term list
+    (see :func:`atom_matcher`)."""
+    columns, match = atom_matcher(atom)
+    return Table._trusted(columns, match(rows))
 
 
 def relation_atom_table(relation, atom: Atom) -> Table:

@@ -117,10 +117,13 @@ COMPARISON_OPS: Dict[str, "callable"] = {
 class Formula:
     """Base class of all formula nodes."""
 
-    __slots__ = ("_fv",)
+    __slots__ = ("_fv", "_hash")
 
     def __init__(self) -> None:
         self._fv: Optional[FrozenSet[str]] = None
+        #: structural hash, computed on first use (nodes are immutable,
+        #: and the checker keys several per-step dicts by node)
+        self._hash: Optional[int] = None
 
     # -- structure -----------------------------------------------------
 
@@ -227,13 +230,43 @@ class Formula:
     # -- equality ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return type(self) is type(other) and self._key() == other._key()  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__,) + self._key())
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash(
+                (type(self).__name__,) + self._key()
+            )
+        return cached
+
+    def __reduce__(self):
+        # string hashes differ between interpreters, so a copy sent to
+        # another process must not carry this one's cached hash
+        names = [
+            name
+            for cls in type(self).__mro__
+            for name in getattr(cls, "__slots__", ())
+            if name not in ("_fv", "_hash")
+        ]
+        return (
+            _restore_formula,
+            (type(self), {name: getattr(self, name) for name in names}),
+        )
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self}>"
+
+
+def _restore_formula(cls, fields: Dict[str, object]) -> "Formula":
+    """Unpickling helper: rebuild a node without its derived caches."""
+    node = object.__new__(cls)
+    Formula.__init__(node)
+    for name, value in fields.items():
+        setattr(node, name, value)
+    return node
 
 
 class Atom(Formula):

@@ -73,11 +73,10 @@ import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.core.auxiliary import OnceState, PrevState, SinceState
+from repro.core.auxiliary import OnceState, SinceState
 from repro.core.checker import Constraint, IncrementalChecker
 from repro.core.parser import parse
 from repro.core.violations import RunReport
-from repro.db.algebra import Table
 from repro.db.database import DatabaseState
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
@@ -120,34 +119,9 @@ PathLike = Union[str, Path]
 
 def checkpoint_dict(checker: IncrementalChecker) -> dict:
     """Serialise a checker to a JSON-able checkpoint document."""
-    aux_states: List[dict] = []
-    for node, aux in checker._aux.items():
-        if isinstance(aux, PrevState):
-            aux_states.append(
-                {
-                    "type": "prev",
-                    "last_time": aux._last_time,
-                    "columns": list(aux._last_table.columns),
-                    "rows": sorted(
-                        [list(r) for r in aux._last_table.rows], key=repr
-                    ),
-                }
-            )
-        elif isinstance(aux, (OnceState, SinceState)):
-            aux_states.append(
-                {
-                    "type": "once" if isinstance(aux, OnceState) else "since",
-                    "anchors": sorted(
-                        (
-                            [list(valuation), list(times)]
-                            for valuation, times in aux._anchors.anchors.items()
-                        ),
-                        key=repr,
-                    ),
-                }
-            )
-        else:  # pragma: no cover - no other aux kinds exist
-            raise MonitorError(f"cannot checkpoint {type(aux).__name__}")
+    # views and the other derived structures are not checkpointed:
+    # each auxiliary state dumps its stored relation and nothing else
+    aux_states = [aux.dump() for aux in checker._aux.values()]
     return {
         "version": FORMAT_VERSION,
         "schema": checker.schema.to_dict(),
@@ -278,29 +252,15 @@ def restore_checker(document: dict) -> IncrementalChecker:
             f"constraints define {len(nodes)} temporal nodes"
         )
     for node, entry in zip(nodes, saved):
-        aux = checker._aux[node]
-        if isinstance(aux, PrevState):
-            if entry["type"] != "prev":
-                raise MonitorError("auxiliary state kind mismatch")
-            aux._last_time = entry["last_time"]
-            aux._last_table = Table(
-                tuple(entry["columns"]),
-                [tuple(r) for r in entry["rows"]],
+        if entry.get("cold") or (
+            entry.get("type") != "prev" and "anchors" not in entry
+        ):
+            raise MonitorError(
+                "checkpoint entry was spilled to the cold tier and "
+                "never merged back (recover from the store, not "
+                "the raw document)"
             )
-        else:
-            expected = "once" if isinstance(aux, OnceState) else "since"
-            if entry["type"] != expected:
-                raise MonitorError("auxiliary state kind mismatch")
-            if entry.get("cold") or "anchors" not in entry:
-                raise MonitorError(
-                    "checkpoint entry was spilled to the cold tier and "
-                    "never merged back (recover from the store, not "
-                    "the raw document)"
-                )
-            aux._anchors.anchors = {
-                tuple(valuation): list(times)
-                for valuation, times in entry["anchors"]
-            }
+        checker._aux[node].load(entry)
     return checker
 
 

@@ -14,6 +14,7 @@ cartesian product.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -22,12 +23,101 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    Optional,
     Sequence,
     Tuple,
 )
 
 from repro.db.types import Row, Value
 from repro.errors import AlgebraError
+
+_NO_ROWS: FrozenSet[Row] = frozenset()
+
+#: One hash index: key -> the rows carrying it.  A one-column key is
+#: the bare value, a wider one the tuple of values (see :func:`key_of`).
+Index = Dict[object, FrozenSet[Row]]
+
+#: ``join`` probes the larger operand's (cached) index instead of
+#: scanning it once the smaller operand is this many times smaller.
+PROBE_RATIO = 4
+
+
+def effective_change(
+    rows: FrozenSet[Row], added: Iterable[Row], removed: Iterable[Row]
+) -> Tuple[FrozenSet[Row], FrozenSet[Row]]:
+    """What taking ``removed`` out of ``rows`` and then putting ``added``
+    in really changes: ``(rows gained, rows lost)``."""
+    added = frozenset(added)
+    lost = rows.intersection(removed) - added if removed else _NO_ROWS
+    return added - rows, lost
+
+
+def remembered_delta(
+    rows: FrozenSet[Row], patch: Optional[tuple], before: FrozenSet[Row]
+) -> Tuple[FrozenSet[Row], FrozenSet[Row]]:
+    """``(added, removed)`` between the row sets ``before`` and ``rows``,
+    read off ``patch`` — the ``(predecessor rows, added, removed)`` a
+    ``with_changes`` successor keeps — when it was made from ``before``,
+    and computed as a set difference otherwise."""
+    if before is rows:
+        return _NO_ROWS, _NO_ROWS
+    if patch is not None and patch[0] is before:
+        return patch[1], patch[2]
+    return rows - before, before - rows
+
+
+def key_of(positions: Sequence[int]) -> Callable[[Row], object]:
+    """The index key of a row: its value at one position, or the tuple
+    of its values at several."""
+    return itemgetter(*positions)
+
+
+def tuple_of(positions: Sequence[int]) -> Callable[[Row], Row]:
+    """Projection of a row onto ``positions``, always as a tuple."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    if not positions:
+        return lambda row: ()
+    return itemgetter(*positions)
+
+
+def build_index(rows: Iterable[Row], positions: Sequence[int]) -> Index:
+    """Hash ``rows`` on their values at ``positions``."""
+    key = key_of(positions)
+    buckets: Dict[object, List[Row]] = {}
+    for row in rows:
+        buckets.setdefault(key(row), []).append(row)
+    return {k: frozenset(rs) for k, rs in buckets.items()}
+
+
+def patch_index(
+    index: Index,
+    positions: Sequence[int],
+    added: Iterable[Row],
+    removed: Iterable[Row],
+) -> Index:
+    """A copy of ``index`` with only the touched buckets rebuilt.
+
+    ``removed`` rows must be in the index and ``added`` rows must not;
+    both are what :meth:`Table.with_changes` and
+    :meth:`repro.db.relation.Relation.with_changes` compute as the
+    effective change.
+    """
+    key = key_of(positions)
+    patched = dict(index)
+    for row in removed:
+        k = key(row)
+        bucket = patched[k] - {row}
+        if bucket:
+            patched[k] = bucket
+        else:
+            del patched[k]
+    for row in added:
+        k = key(row)
+        bucket = patched.get(k)
+        patched[k] = bucket | {row} if bucket else frozenset((row,))
+    return patched
 
 
 class Table:
@@ -36,9 +126,18 @@ class Table:
     Two tables are equal when they have the same columns *as a set* and
     contain the same rows once aligned to a common column order; this is
     the right notion of equality for query answers.
+
+    Because a table never changes, two things can ride along with it:
+    hash indexes, built on first use and cached (:meth:`index_on`), and
+    the *patch* that produced it.  :meth:`with_changes` returns a
+    successor table that shares every cached index except the touched
+    buckets and remembers what was added and removed, so a reader
+    holding the predecessor gets the difference in O(1)
+    (:meth:`delta_from`) — the primitive the incremental checker's
+    maintained views are built from.
     """
 
-    __slots__ = ("columns", "rows")
+    __slots__ = ("columns", "rows", "_indexes", "_patch")
 
     def __init__(self, columns: Sequence[str], rows: Iterable[Row] = ()):
         cols = tuple(columns)
@@ -52,6 +151,35 @@ class Table:
                     f"row {r!r} does not match columns {cols}"
                 )
         self.rows: FrozenSet[Row] = frozen
+        #: positions -> index, filled lazily; shared with renamed views
+        #: of the same rows and carried forward by ``with_changes``
+        self._indexes: Dict[Tuple[int, ...], Index] = {}
+        #: ``(predecessor rows, added, removed)`` when built by
+        #: ``with_changes``
+        self._patch: Optional[tuple] = None
+
+    @classmethod
+    def _trusted(
+        cls,
+        columns: Tuple[str, ...],
+        rows: Iterable[Row],
+        indexes: Optional[Dict[Tuple[int, ...], Index]] = None,
+        patch: Optional[tuple] = None,
+    ) -> "Table":
+        """Internal constructor for rows the algebra itself produced:
+        ``columns`` is a duplicate-free tuple and every row a tuple of
+        matching length, so nothing is re-tupled or re-checked."""
+        self = object.__new__(cls)
+        self.columns = columns
+        self.rows = frozenset(rows)
+        self._indexes = {} if indexes is None else indexes
+        self._patch = patch
+        return self
+
+    def __reduce__(self):
+        # only the relation travels (shard workers pickle witness
+        # tables); indexes and patch history are derived
+        return (Table._trusted, (self.columns, self.rows))
 
     # ------------------------------------------------------------------
     # constructors
@@ -63,7 +191,7 @@ class Table:
 
         Zero-column tables represent truth values of closed formulas.
         """
-        return Table((), [()] if true else [])
+        return _TRUE if true else _FALSE
 
     @staticmethod
     def empty(columns: Sequence[str]) -> "Table":
@@ -118,13 +246,90 @@ class Table:
             yield dict(zip(self.columns, r))
 
     # ------------------------------------------------------------------
+    # indexes and patches
+    # ------------------------------------------------------------------
+
+    def index_on(self, columns: Sequence[str]) -> Index:
+        """The hash index on ``columns`` (built once, then cached).
+
+        Keys follow :func:`key_of` over the columns' positions in the
+        order given.
+        """
+        positions = tuple(self.column_index(c) for c in columns)
+        index = self._indexes.get(positions)
+        if index is None:
+            index = self._indexes[positions] = build_index(
+                self.rows, positions
+            )
+        return index
+
+    def matching(
+        self, columns: Sequence[str], keys: Iterable[Row]
+    ) -> FrozenSet[Row]:
+        """The rows whose projection onto ``columns`` is in ``keys``
+        (tuples in the order of ``columns``)."""
+        if tuple(columns) == self.columns:
+            return self.rows.intersection(keys)
+        index = self.index_on(columns)
+        if len(columns) == 1:
+            keys = (k[0] for k in keys)
+        found: List[Row] = []
+        for k in keys:
+            found.extend(index.get(k, ()))
+        return frozenset(found)
+
+    def with_changes(
+        self, added: Iterable[Row] = (), removed: Iterable[Row] = ()
+    ) -> "Table":
+        """The table with ``removed`` rows taken out, then ``added``
+        rows put in (rows must already fit the header).
+
+        Returns ``self`` when nothing really changes.  Otherwise the
+        successor carries every cached index forward with only the
+        touched buckets rebuilt, and remembers the effective change for
+        :meth:`delta_from`.
+        """
+        rows = self.rows
+        new, gone = effective_change(rows, added, removed)
+        if not new and not gone:
+            return self
+        indexes = {
+            positions: patch_index(index, positions, new, gone)
+            for positions, index in self._indexes.items()
+        }
+        return Table._trusted(
+            self.columns,
+            (rows - gone) | new if gone else rows | new,
+            indexes,
+            (rows, new, gone),
+        )
+
+    def delta_from(
+        self, previous: "Table"
+    ) -> Tuple[FrozenSet[Row], FrozenSet[Row]]:
+        """``(added, removed)``: the rows this table has that
+        ``previous`` lacks, and the other way round.
+
+        O(1) when this table is ``previous`` or its direct
+        :meth:`with_changes` successor; a set difference otherwise.
+        """
+        if previous.columns != self.columns:
+            previous = previous.project(self.columns)
+        return remembered_delta(self.rows, self._patch, previous.rows)
+
+    # ------------------------------------------------------------------
     # unary operations
     # ------------------------------------------------------------------
 
     def project(self, columns: Sequence[str]) -> "Table":
         """Project onto ``columns`` (duplicates removed, order as given)."""
-        idx = [self.column_index(c) for c in columns]
-        return Table(columns, (tuple(r[i] for i in idx) for r in self.rows))
+        cols = tuple(columns)
+        if cols == self.columns:
+            return self
+        if len(set(cols)) != len(cols):
+            raise AlgebraError(f"duplicate column names: {cols}")
+        take = tuple_of([self.column_index(c) for c in cols])
+        return Table._trusted(cols, map(take, self.rows))
 
     def drop(self, *columns: str) -> "Table":
         """Project away the named columns."""
@@ -138,25 +343,29 @@ class Table:
             raise AlgebraError(
                 f"rename {dict(mapping)} collapses columns {self.columns}"
             )
-        return Table(new_cols, self.rows)
+        # same rows at the same positions: indexes and patch still hold
+        return Table._trusted(new_cols, self.rows, self._indexes, self._patch)
 
     def select(self, predicate: Callable[[Dict[str, Value]], bool]) -> "Table":
         """Keep rows on which ``predicate`` (over a row dict) is true."""
         cols = self.columns
-        kept = [
-            r for r in self.rows if predicate(dict(zip(cols, r)))
-        ]
-        return Table(cols, kept)
+        return Table._trusted(
+            cols, (r for r in self.rows if predicate(dict(zip(cols, r))))
+        )
 
     def select_eq(self, column: str, value: Value) -> "Table":
         """Keep rows whose ``column`` equals ``value``."""
         i = self.column_index(column)
-        return Table(self.columns, (r for r in self.rows if r[i] == value))
+        return Table._trusted(
+            self.columns, (r for r in self.rows if r[i] == value)
+        )
 
     def select_cols_eq(self, left: str, right: str) -> "Table":
         """Keep rows where two columns carry the same value."""
         i, j = self.column_index(left), self.column_index(right)
-        return Table(self.columns, (r for r in self.rows if r[i] == r[j]))
+        return Table._trusted(
+            self.columns, (r for r in self.rows if r[i] == r[j])
+        )
 
     def extend_copy(self, source: str, new: str) -> "Table":
         """Add column ``new`` carrying a copy of column ``source``.
@@ -167,7 +376,7 @@ class Table:
         if new in self.columns:
             raise AlgebraError(f"column {new!r} already present")
         i = self.column_index(source)
-        return Table(
+        return Table._trusted(
             self.columns + (new,), (r + (r[i],) for r in self.rows)
         )
 
@@ -175,7 +384,9 @@ class Table:
         """Add a constant column."""
         if new in self.columns:
             raise AlgebraError(f"column {new!r} already present")
-        return Table(self.columns + (new,), (r + (value,) for r in self.rows))
+        return Table._trusted(
+            self.columns + (new,), (r + (value,) for r in self.rows)
+        )
 
     def aggregate(
         self,
@@ -240,42 +451,43 @@ class Table:
     # binary operations
     # ------------------------------------------------------------------
 
-    def _aligned_rows(self, order: Sequence[str]) -> Iterator[Row]:
-        idx = [self.column_index(c) for c in order]
-        for r in self.rows:
-            yield tuple(r[i] for i in idx)
+    def _aligned_rows(self, order: Sequence[str]) -> Iterable[Row]:
+        order = tuple(order)
+        if order == self.columns:
+            return self.rows
+        return map(tuple_of([self.column_index(c) for c in order]), self.rows)
+
+    def _same_header(self, other: "Table", what: str) -> None:
+        if self.columns != other.columns and (
+            set(self.columns) != set(other.columns)
+        ):
+            raise AlgebraError(
+                f"{what} of incompatible headers {self.columns} / "
+                f"{other.columns}"
+            )
 
     def union(self, other: "Table") -> "Table":
         """Set union; requires equal column *sets* (order may differ)."""
-        if set(self.columns) != set(other.columns):
-            raise AlgebraError(
-                f"union of incompatible headers {self.columns} / "
-                f"{other.columns}"
-            )
-        return Table(
-            self.columns,
-            list(self.rows) + list(other._aligned_rows(self.columns)),
+        self._same_header(other, "union")
+        return Table._trusted(
+            self.columns, self.rows.union(other._aligned_rows(self.columns))
         )
 
     def difference(self, other: "Table") -> "Table":
         """Set difference; requires equal column sets."""
-        if set(self.columns) != set(other.columns):
-            raise AlgebraError(
-                f"difference of incompatible headers {self.columns} / "
-                f"{other.columns}"
-            )
-        gone = set(other._aligned_rows(self.columns))
-        return Table(self.columns, (r for r in self.rows if r not in gone))
+        self._same_header(other, "difference")
+        return Table._trusted(
+            self.columns,
+            self.rows.difference(other._aligned_rows(self.columns)),
+        )
 
     def intersection(self, other: "Table") -> "Table":
         """Set intersection; requires equal column sets."""
-        if set(self.columns) != set(other.columns):
-            raise AlgebraError(
-                f"intersection of incompatible headers {self.columns} / "
-                f"{other.columns}"
-            )
-        keep = set(other._aligned_rows(self.columns))
-        return Table(self.columns, (r for r in self.rows if r in keep))
+        self._same_header(other, "intersection")
+        return Table._trusted(
+            self.columns,
+            self.rows.intersection(other._aligned_rows(self.columns)),
+        )
 
     def join(self, other: "Table") -> "Table":
         """Natural join on all shared columns.
@@ -283,43 +495,81 @@ class Table:
         With no shared columns this is the cartesian product; with equal
         column sets it is the intersection.  The result header is this
         table's columns followed by ``other``'s private columns.
+
+        The large side is never re-hashed without need: a zero-column
+        operand passes the other through, identical headers intersect
+        as sets, a right operand whose columns are all shared is tested
+        by membership, and otherwise the smaller operand is hashed and
+        the larger scanned — unless the larger is :data:`PROBE_RATIO`
+        times bigger or already has the index, in which case the
+        smaller probes the larger's cached index (carried from step to
+        step by :meth:`with_changes`) and the larger is not scanned.
         """
-        shared = [c for c in self.columns if c in other.columns]
-        right_private = [c for c in other.columns if c not in shared]
-        out_cols = self.columns + tuple(right_private)
+        mine, theirs = self.columns, other.columns
+        if not mine:
+            return other if self.rows else Table._trusted(theirs, ())
+        if not theirs:
+            return self if other.rows else Table._trusted(mine, ())
+        if mine == theirs:
+            return Table._trusted(mine, self.rows & other.rows)
 
+        shared = [c for c in theirs if c in mine]
+        private = [c for c in theirs if c not in mine]
+        out_cols = mine + tuple(private)
         if not shared:
-            rows = [
-                lr + rr for lr in self.rows for rr in other.rows
-            ]
-            return Table(out_cols, rows)
+            return Table._trusted(
+                out_cols, [lr + rr for lr in self.rows for rr in other.rows]
+            )
+        left, right = self.rows, other.rows
+        l_idx = tuple(mine.index(c) for c in shared)
+        r_idx = tuple(theirs.index(c) for c in shared)
+        tail = tuple_of([theirs.index(c) for c in private])
 
-        l_idx = [self.column_index(c) for c in shared]
-        r_idx = [other.column_index(c) for c in shared]
-        rp_idx = [other.column_index(c) for c in right_private]
+        if not private and len(right) * PROBE_RATIO > len(left):
+            # every right column is shared, so a right row is its own
+            # key: membership, no index at all
+            lookup = tuple_of(l_idx)
+            return Table._trusted(
+                out_cols, (lr for lr in left if lookup(lr) in right)
+            )
+        if len(left) <= len(right):
+            if len(left) * PROBE_RATIO <= len(right) or (
+                r_idx in other._indexes
+            ):
+                index = other.index_on(shared)  # cached: no scan of right
+                scan, key, left_scanned = left, key_of(l_idx), True
+            else:
+                index = build_index(left, l_idx)
+                scan, key, left_scanned = right, key_of(r_idx), False
+        elif len(right) * PROBE_RATIO <= len(left) or (
+            l_idx in self._indexes
+        ):
+            index = self.index_on(shared)
+            scan, key, left_scanned = right, key_of(r_idx), False
+        else:
+            index = build_index(right, r_idx)
+            scan, key, left_scanned = left, key_of(l_idx), True
+        get = index.get
+        if left_scanned:
+            rows = [lr + tail(rr) for lr in scan for rr in get(key(lr), ())]
+        else:
+            rows = [lr + tail(rr) for rr in scan for lr in get(key(rr), ())]
+        return Table._trusted(out_cols, rows)
 
-        index: Dict[Row, List[Row]] = {}
-        for rr in other.rows:
-            key = tuple(rr[i] for i in r_idx)
-            index.setdefault(key, []).append(tuple(rr[i] for i in rp_idx))
-
-        rows_out: List[Row] = []
-        for lr in self.rows:
-            key = tuple(lr[i] for i in l_idx)
-            for tail in index.get(key, ()):
-                rows_out.append(lr + tail)
-        return Table(out_cols, rows_out)
+    def _shared_keys(self, other: "Table", shared: List[str]):
+        """Key function over this table's rows and the key set of
+        ``other``, both on the ``shared`` columns."""
+        key = tuple_of([self.column_index(c) for c in shared])
+        return key, frozenset(other._aligned_rows(shared))
 
     def semijoin(self, other: "Table") -> "Table":
         """Keep rows that join with at least one row of ``other``."""
         shared = [c for c in self.columns if c in other.columns]
         if not shared:
-            return self if not other.is_empty else Table.empty(self.columns)
-        l_idx = [self.column_index(c) for c in shared]
-        keys = set(other._aligned_rows(shared))
-        return Table(
-            self.columns,
-            (r for r in self.rows if tuple(r[i] for i in l_idx) in keys),
+            return self if other.rows else Table._trusted(self.columns, ())
+        key, keys = self._shared_keys(other, shared)
+        return Table._trusted(
+            self.columns, (r for r in self.rows if key(r) in keys)
         )
 
     def antijoin(self, other: "Table") -> "Table":
@@ -331,12 +581,10 @@ class Table:
         """
         shared = [c for c in self.columns if c in other.columns]
         if not shared:
-            return Table.empty(self.columns) if not other.is_empty else self
-        l_idx = [self.column_index(c) for c in shared]
-        keys = set(other._aligned_rows(shared))
-        return Table(
-            self.columns,
-            (r for r in self.rows if tuple(r[i] for i in l_idx) not in keys),
+            return Table._trusted(self.columns, ()) if other.rows else self
+        key, keys = self._shared_keys(other, shared)
+        return Table._trusted(
+            self.columns, (r for r in self.rows if key(r) not in keys)
         )
 
     def product(self, other: "Table") -> "Table":
@@ -370,12 +618,13 @@ class Table:
 
     def __hash__(self) -> int:
         order = tuple(sorted(self.columns))
-        idx = [self.column_index(c) for c in order]
-        return hash(
-            (order, frozenset(tuple(r[i] for i in idx) for r in self.rows))
-        )
+        return hash((order, frozenset(self._aligned_rows(order))))
 
     def __repr__(self) -> str:
         shown = sorted(self.rows, key=repr)[:6]
         suffix = ", ..." if len(self.rows) > 6 else ""
         return f"Table({list(self.columns)}, {shown}{suffix})"
+
+
+_TRUE = Table((), [()])
+_FALSE = Table((), ())

@@ -10,7 +10,9 @@ proportional to the changes between them.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set, Tuple,
+)
 
 from repro.db.relation import Relation
 from repro.db.schema import DatabaseSchema
@@ -88,7 +90,27 @@ class DatabaseState:
                 inserts=txn.inserts.get(name, ()),
                 deletes=txn.deletes.get(name, ()),
             )
-        return DatabaseState(self.schema, new_rels)
+        successor = object.__new__(DatabaseState)
+        successor.schema = self.schema  # same schema, relations of it
+        successor._relations = new_rels
+        return successor
+
+    def delta_from(
+        self, previous: "DatabaseState"
+    ) -> Dict[str, Tuple[FrozenSet[Row], FrozenSet[Row]]]:
+        """The effective change since ``previous``: for each relation
+        that really differs, the rows ``(added, removed)``.
+
+        Costs O(relations) after :meth:`apply` — each touched relation
+        remembers its own change — and a set difference per relation
+        for unrelated states.
+        """
+        changes = {}
+        for name, relation in self._relations.items():
+            added, removed = relation.delta_from(previous.relation(name))
+            if added or removed:
+                changes[name] = (added, removed)
+        return changes
 
     def diff(self, successor: "DatabaseState") -> Transaction:
         """The transaction turning this state into ``successor``."""

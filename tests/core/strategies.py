@@ -148,3 +148,31 @@ def compilable_adom(formula):
 adom_constraints = (
     constraint_formulas.map(compilable_adom).filter(lambda c: c is not None)
 )
+
+
+class SwitchClock:
+    """A clock for :class:`repro.resilience.degrade.StepBudget` that
+    runs a step late on demand: the first read of a step (``arm``) is
+    time zero, later reads are past any deadline while ``late`` is set."""
+
+    def __init__(self):
+        self.late = False
+        self.reads = 0
+
+    def new_step(self, late: bool) -> None:
+        self.late = late
+        self.reads = 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        return 100.0 if self.late and self.reads > 1 else 0.0
+
+
+#: What may happen to a run between two of its steps, besides stepping:
+#: the successor state is handed over directly (no delta), a step runs
+#: late and sheds its non-urgent constraint, or the checker is
+#: checkpointed and a restored copy carries on.
+interruptions = st.lists(
+    st.sampled_from(["step", "step", "step_state", "late", "restore"]),
+    min_size=2, max_size=12,
+)

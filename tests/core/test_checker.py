@@ -163,8 +163,9 @@ class TestWitnesses:
 
 
 class TestStateLocalVerdictCache:
-    """Constraints without temporal operators skip re-evaluation when
-    their relations were untouched; temporal ones never skip."""
+    """A constraint is re-evaluated only when a key of it is affected:
+    by rows its relations really gained or lost, or by valuations
+    entering or leaving a temporal node's window."""
 
     def test_untouched_state_local_constraint_reuses_verdict(self, schema):
         checker = IncrementalChecker(
@@ -180,18 +181,27 @@ class TestStateLocalVerdictCache:
         checker.step(2, ins("p", (1,)))
         assert checker.evaluations == first + 1
 
-    def test_temporal_constraints_always_reevaluate(self, schema):
+    def test_temporal_reuse_until_window_moves(self, schema):
         checker = IncrementalChecker(
             schema, [Constraint("w", "q(x) -> ONCE[0,2] p(x)")]
         )
         checker.step(0, ins("p", (1,)))
         checker.step(1, ins("q", (1,)))
         before = checker.evaluations
-        # nothing touched, but temporal verdicts may shift with the
-        # clock, so the constraint must be re-evaluated regardless
+        # nothing touched and p(1) persists: no valuation enters or
+        # leaves the window, so no key is affected and the verdict is
+        # reused
         report = checker.step(5, Transaction.noop())
-        assert checker.evaluations == before + 1
+        assert checker.evaluations == before
         assert report.ok, "p(1) persists, so the window is still met"
+        # p(1) goes: nothing changes yet (the anchor at t=6... is the
+        # last), but once it expires the clock alone affects key x=1
+        checker.step(6, Transaction({}, {"p": [(1,)]}))
+        at_deletion = checker.evaluations
+        assert checker.step(7, Transaction.noop()).ok
+        assert checker.evaluations == at_deletion
+        assert not checker.step(9, Transaction.noop()).ok
+        assert checker.evaluations == at_deletion + 1
 
     def test_temporal_window_expiry_without_updates(self, schema):
         # the reason the cache must exclude temporal constraints:

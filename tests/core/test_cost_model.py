@@ -1,0 +1,111 @@
+"""The hot path's cost model, asserted by counting — no timing.
+
+Per-step work must be a function of the delta and of the valuations
+crossing a window bound, never of the resident state.  Two plants are
+driven with *the same* four reporting sensors; one keeps 46 further
+sensors resident, the other 796, all of them at the critical level so
+that they sit in every operand table and in every auxiliary relation.
+Rows validated by ``apply``, view evaluations, affected keys and
+auxiliary runs visited must then be equal, step for step.
+"""
+
+import random
+
+from repro.core.checker import IncrementalChecker
+from repro.db.schema import RelationSchema
+from repro.db.transactions import Transaction
+from repro.workloads import sensors
+
+REPORTING = 4
+STEPS = 60
+#: by this step every anchor loaded at step 0 has crossed the low bound
+#: of ``SINCE[5,*]`` — a one-off cost of the bulk load, proportional to
+#: it, and not part of the steady regime compared below
+SETTLED = 8
+
+
+def plant_stream(resident: int, seed: int = 7):
+    """``resident`` idle critical sensors plus four that report."""
+    rng = random.Random(seed)
+    sensors_total = REPORTING + resident
+    level = {s: 2 if s >= REPORTING else 0 for s in range(sensors_total)}
+    alarmed, serviced = set(), set()
+    time = 0
+    yield time, Transaction({"reading": sorted(level.items())}, {})
+    for _ in range(STEPS):
+        time += rng.randint(1, 2)
+        ins = {"reading": [], "alarm": [], "maintenance": []}
+        dels = {"reading": [], "alarm": [], "maintenance": []}
+        for s in range(REPORTING):
+            new = rng.choice([0, 1, 2, 2])
+            if new != level[s]:
+                dels["reading"].append((s, level[s]))
+                ins["reading"].append((s, new))
+                level[s] = new
+            for relation, members, rate in (
+                ("alarm", alarmed, 0.3), ("maintenance", serviced, 0.2),
+            ):
+                wanted = rng.random() < rate
+                if wanted != (s in members):
+                    (ins if wanted else dels)[relation].append((s,))
+                    (members.add if wanted else members.discard)(s)
+        yield time, Transaction(ins, dels)
+
+
+def drive(resident: int, monkeypatch):
+    """Per-step work counts and verdicts of one plant."""
+    validated = 0
+    validate_row = RelationSchema.validate_row
+
+    def counting(self, row):
+        nonlocal validated
+        validated += 1
+        return validate_row(self, row)
+
+    checker = IncrementalChecker(sensors.SCHEMA, sensors.constraints())
+    rows, verdicts = [], []
+    before = checker.work_counters()
+    with monkeypatch.context() as patch:
+        patch.setattr(RelationSchema, "validate_row", counting)
+        for time, txn in plant_stream(resident):
+            validated = 0
+            report = checker.step(time, txn)
+            after = checker.work_counters()
+            rows.append(dict(
+                {name: after[name] - before[name] for name in after},
+                validated=validated,
+            ))
+            before = after
+            verdicts.append([
+                (v.constraint, sorted(v.witnesses.rows))
+                for v in report.violations
+            ])
+    return rows, verdicts, checker
+
+
+def test_per_step_work_does_not_depend_on_the_resident_state(monkeypatch):
+    small, small_verdicts, _ = drive(46, monkeypatch)
+    large, large_verdicts, checker = drive(796, monkeypatch)
+    assert small_verdicts == large_verdicts
+    assert any(small_verdicts), "the traffic must violate sometimes"
+    assert small[SETTLED:] == large[SETTLED:]
+    steady = large[SETTLED:]
+    # and the work is the delta's: a handful of rows (each checked by
+    # the transaction and once more when it enters a relation), keys
+    # and runs
+    assert max(row["validated"] for row in steady) <= 8 * REPORTING
+    assert max(row["view_keys"] for row in steady) <= 8 * REPORTING
+    assert max(row["bound_visits"] for row in steady) <= 4 * REPORTING
+    assert sum(row["view_keys"] for row in steady) > 0
+    assert sum(row["bound_visits"] for row in steady) > 0
+    # while the state the work did not scale with really is resident
+    assert checker.state.total_rows >= 796
+    assert checker.aux_tuple_count() > 796
+
+
+def test_bulk_load_is_the_only_step_that_scales(monkeypatch):
+    rows, _, _ = drive(796, monkeypatch)
+    assert rows[0]["validated"] >= 796
+    # the loaded anchors cross SINCE's low bound once, together
+    assert sum(row["bound_visits"] for row in rows[:SETTLED]) >= 796
+

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.foeval import AtomProvider, evaluate, match_atom
-from repro.core.formulas import Atom, Const, Var
+from repro.core.formulas import And, Atom, Const, Var
 from repro.core.normalize import normalize
 from repro.core.parser import parse
 from repro.db.algebra import Table
@@ -221,3 +221,82 @@ class TestSelectivePlanning:
     def test_unsafe_still_rejected(self, provider):
         with pytest.raises(UnsafeFormulaError):
             ev("NOT p(x) AND NOT q(x)", provider)
+
+    #: (conjunction, context columns, order) as planned before the
+    #: safety analysis was cached per (conjunction, bound variables):
+    #: caching must change how often analysis runs, never what it says
+    PINNED_ORDERS = [
+        ("p(x) AND q(x)", (), [1, 0]),
+        ("p(x) AND NOT q(x) AND x >= 2", (), [0, 1, 2]),
+        ("r(x, y) AND p(x) AND q(y)", (), [2, 0, 1]),
+        ("r(x, y) AND q(x) AND NOT p(y)", (), [1, 0, 2]),
+        ("x = 2 AND p(x)", (), [1, 0]),
+        ("r(x, y) AND r(y2, z) AND y = y2", (), [0, 2, 1]),
+        ("p(x) AND q(z) AND r(x, y)", ("x",), [0, 2, 1]),
+        ("p(x) AND q(z) AND r(x, y)", ("z",), [1, 0, 2]),
+        ("NOT p(x) AND q(x) AND r(x, y) AND y > 10", (), [1, 0, 2, 3]),
+        ("r(x, y) AND NOT q(x) AND p(x)", ("y",), [0, 1, 2]),
+        ("p(x) AND (EXISTS w. r(x, w)) AND q(x)", (), [2, 0, 1]),
+        ("x < y AND p(x) AND q(y)", (), [2, 1, 0]),
+    ]
+
+    @pytest.mark.parametrize("text, columns, expected", PINNED_ORDERS)
+    def test_planned_orders_are_unchanged(
+        self, text, columns, expected, provider
+    ):
+        from repro.core.foeval import _plan_order, _readiness
+
+        f = normalize(parse(text))
+        ctx = Table(columns, []) if columns else Table.nullary(True)
+        assert _plan_order(f.operands, ctx, provider) == expected
+        # planned again, the analysis comes from the cache ...
+        hits = _readiness.cache_info().hits
+        assert _plan_order(f.operands, ctx, provider) == expected
+        assert _readiness.cache_info().hits > hits
+
+    def test_order_still_follows_live_cardinality(self):
+        from repro.core.foeval import _plan_order
+
+        f = normalize(parse("p(x) AND q(x)"))
+        ctx = Table.nullary(True)
+        few_q = DictProvider({"p": [(1,), (2,)], "q": [(1,)]})
+        few_p = DictProvider({"p": [(1,)], "q": [(1,), (2,)]})
+        # ... while the ranking is redone against the tables of the day
+        assert _plan_order(f.operands, ctx, few_q) == [1, 0]
+        assert _plan_order(f.operands, ctx, few_p) == [0, 1]
+
+
+class TestProviderErrorsPropagate:
+    """Join ordering asks the provider for table sizes; a provider that
+    cannot answer has hit an ordering bug, which must not be swallowed
+    into a bad (but silent) join order."""
+
+    def test_missing_virtual_table_fails_loudly(self):
+        from repro.core.checker import Constraint, IncrementalChecker
+        from repro.db import DatabaseSchema
+        from repro.errors import MonitorError
+
+        schema = DatabaseSchema.from_dict({"p": ["a"], "q": ["a"]})
+        checker = IncrementalChecker(
+            schema, [Constraint("c", "p(x) -> ONCE[0,3] q(x)")]
+        )
+        node = next(
+            checker.constraints[0].violation_formula.temporal_subformulas()
+        )
+        # a conjunction over a temporal node whose table was never
+        # computed: asked out of bottom-up order
+        with pytest.raises(MonitorError, match="bottom-up"):
+            evaluate(And(Atom("p", [Var("x")]), node), checker._provider)
+
+    def test_estimate_does_not_hide_a_provider_failure(self, provider):
+        from repro.core.foeval import _estimated_cardinality
+        from repro.core.formulas import Once
+
+        class Broken(DictProvider):
+            def atom_table(self, atom):
+                raise KeyError(atom.relation)
+
+        with pytest.raises(KeyError):
+            _estimated_cardinality(Atom("p", [Var("x")]), Broken({}))
+        with pytest.raises(AssertionError):
+            _estimated_cardinality(Once(Atom("p", [Var("x")])), provider)

@@ -108,6 +108,42 @@ class TestStructure:
         assert hash(f1) == hash(f2)
         assert f1 != f3
 
+    def test_hash_is_cached_and_still_structural(self):
+        """The checker keys per-step dicts by node: the hash is computed
+        once per node, and equal nodes still collide as dict keys."""
+        from repro.core.parser import parse
+
+        text = "alarm(s) -> (EXISTS l. reading(s, l) AND l >= 1) SINCE[5,*] reading(s, 2)"
+        f1, f2 = parse(text), parse(text)
+        assert f1 is not f2 and f1._hash is None
+        first = hash(f1)
+        assert f1._hash == first == hash(f1) == hash(f2)
+        assert {f1: "once"}[f2] == "once"
+        assert len({f1, f2, parse(text.replace("5", "6"))}) == 2
+        # == is by structure whatever was cached, and never by type alone
+        assert f1 == f2 and not (f1 != f2)
+        assert Once(Atom("p", [])) != Prev(Atom("p", []))
+        assert hash(Once(Atom("p", []))) != hash(Prev(Atom("p", [])))
+        assert Atom("p", [Const(1)]) != Atom("p", [Const("1")])
+
+    def test_a_copy_does_not_carry_the_cached_hash(self):
+        """String hashes differ between interpreters, so a pickled node
+        must recompute its hash where it lands."""
+        import pickle
+        from copy import deepcopy
+
+        f = Since(
+            Exists(["l"], Atom("reading", [Var("s"), Var("l")])),
+            Atom("reading", [Var("s"), Const(2)]),
+            Interval(5, None),
+        )
+        hash(f), f.free_vars
+        for copied in (pickle.loads(pickle.dumps(f)), deepcopy(f)):
+            assert copied == f and str(copied) == str(f)
+            assert copied._hash is None and copied.left._hash is None
+            assert hash(copied) == hash(f)
+            assert copied.free_vars == {"s"}
+
     def test_operator_sugar(self):
         p, q = Atom("p", []), Atom("q", [])
         assert (p & q) == And(p, q)

@@ -187,3 +187,76 @@ def test_resume_property(constraint, seed, split):
         assert [v.witnesses for v in want.violations] == [
             v.witnesses for v in have.violations
         ], str(constraint.formula)
+
+
+class TestGoldenDocuments:
+    """Checkpoint documents are the on-disk contract (``FORMAT_VERSION``
+    1).  ``golden/checkpoints_v1.json`` holds a stream and the documents
+    the checker wrote for it *before* auxiliary states dumped and loaded
+    themselves and held their anchors as runs; the same stream must
+    still produce them byte for byte, and they must still restore."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        from pathlib import Path
+
+        path = Path(__file__).parent / "golden" / "checkpoints_v1.json"
+        return json.loads(path.read_text())
+
+    def replay(self, golden, collapse, upto, checker=None, start=0):
+        if checker is None:
+            checker = IncrementalChecker(
+                DatabaseSchema.from_dict(golden["schema"]),
+                [Constraint(n, t) for n, t in golden["constraints"]],
+                collapse_unbounded=collapse,
+            )
+        reports = [
+            checker.step(when, Transaction.from_dict(txn))
+            for when, txn in golden["stream"][start:upto + 1]
+        ]
+        return checker, reports
+
+    @pytest.mark.parametrize("collapse", [True, False])
+    @pytest.mark.parametrize("step", [17, 39])
+    def test_documents_are_byte_identical(self, golden, collapse, step):
+        from repro.core.persist import FORMAT_VERSION
+
+        checker, _ = self.replay(golden, collapse, step)
+        want = golden["documents"][f"collapse={collapse},step={step}"]
+        assert json.dumps(checkpoint_dict(checker), sort_keys=True) == want
+        assert FORMAT_VERSION == 1
+        assert set(json.loads(want)) == {
+            "version", "schema", "constraints", "collapse_unbounded",
+            "share_subformulas", "time", "index", "state", "aux",
+        }, "views and queues are derived state: never checkpointed"
+
+    @pytest.mark.parametrize("collapse", [True, False])
+    def test_golden_document_restores_and_continues(self, golden, collapse):
+        document = json.loads(
+            golden["documents"][f"collapse={collapse},step=17"]
+        )
+        resumed, got = self.replay(
+            golden, collapse, 39, checker=restore_checker(document), start=18
+        )
+        continuous, want = self.replay(golden, collapse, 39)
+        assert got == want[18:]
+        assert any(not report.ok for report in got)
+        final = golden["documents"][f"collapse={collapse},step=39"]
+        assert json.dumps(checkpoint_dict(resumed), sort_keys=True) == final
+        assert resumed.aux_profile() == continuous.aux_profile()
+
+    def test_dump_and_load_are_the_only_way_in(self, golden):
+        """One place rebuilds the derived structures on restore."""
+        checker, _ = self.replay(golden, True, 17)
+        for aux in checker._aux.values():
+            entry = aux.dump()
+            twin = type(aux)(aux.formula)
+            twin.load(json.loads(json.dumps(entry)))
+            assert twin.dump() == entry
+            assert twin.tuple_count() == aux.tuple_count()
+            assert twin.oldest_anchor() == aux.oldest_anchor()
+            assert dict(twin.iter_valuations()) == dict(aux.iter_valuations())
+            for valuation, _ in aux.iter_valuations():
+                assert twin.anchors_of(valuation) == aux.anchors_of(valuation)
+            with pytest.raises(MonitorError, match="kind mismatch"):
+                twin.load({"type": "nonsense"})
