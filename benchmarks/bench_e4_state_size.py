@@ -16,13 +16,14 @@ The experiment also pins the cost of the state observatory
 (:mod:`repro.obs.statewatch`): the largest-universe run is driven
 through the :class:`~repro.Monitor` facade in interleaved (statewatch
 off, statewatch on) pairs — production wiring, deep samples every 8
-steps — and the cleanest pair's on/off ratio of tail-mean step times
-must stay under 1.35.  The observatory costs 15-25 us per step (a dict
-of per-node counts, integer compares, and a deep byte walk of the
-auxiliary state every eighth step).  That was under 5% of the ~400 us
-step this gate was first set against; the step now costs a third of
-that, so the same absolute cost is a larger share and the limit is
-re-anchored to it.
+steps — and the cleanest pair's on-minus-off difference of tail-mean
+step times must stay under 25 us per step.  The observatory does not
+look at the update: it costs a dict of per-node counts and integer
+compares per step plus a deep byte walk of the auxiliary state every
+eighth step, 15-25 us per step in all.  Its *share* of the step moves
+with the step (under 5% of a 400 us step, 10-20% of a 150 us one), so
+the ratio is reported but the gate is on the observatory's own cost,
+which is what a regression in it would move.
 """
 
 from time import perf_counter
@@ -57,6 +58,7 @@ HEADERS = [
     "monitor us/step (tail)",
     "statewatch us/step (tail)",
     "statewatch/monitor",
+    "statewatch cost us/step",
 ]
 
 
@@ -94,8 +96,8 @@ def _overhead_pair_us(workload, stream, repeats=OVERHEAD_REPEATS):
     both see the same machine state, and the pair with the *smallest*
     on/off ratio is reported.  A genuine regression shows up in every
     pair, while scheduler noise hits pairs at random, so the minimum
-    over repeats is the stable estimator for a "must stay under 1.35"
-    gate on a machine with ±10% timer jitter.
+    over repeats is the stable estimator for an upper-bound gate on a
+    machine with ±10% timer jitter.
     """
     best = None
     for _ in range(repeats):
@@ -136,6 +138,7 @@ def run(recorder, profile="full"):
                 round(plain_us, 1) if plain_us else None,
                 round(watched_us, 1) if watched_us else None,
                 round(watched_us / plain_us, 3) if plain_us else None,
+                round(watched_us - plain_us, 1) if plain_us else None,
             ],
             title=f"per-step cost vs state size (history length {LENGTH}, "
                   f"seed {SEED})",
@@ -153,8 +156,8 @@ def run(recorder, profile="full"):
         "incremental us/step", max_order=0.75,
     )
     recorder.expect_max(
-        "statewatch must cost < 35% on the (now 3x shorter) tail step",
-        "statewatch/monitor", limit=1.35,
+        "statewatch must cost < 25 us on the tail step",
+        "statewatch cost us/step", limit=25.0,
     )
 
 

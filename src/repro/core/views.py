@@ -40,8 +40,10 @@ from repro.core.foeval import (
 from repro.core.formulas import (
     Aggregate,
     Atom,
+    Comparison,
     Exists,
     Formula,
+    Var,
 )
 from repro.db.algebra import Table, tuple_of
 from repro.db.database import DatabaseState
@@ -110,15 +112,12 @@ class StateProvider(AtomProvider):
         if successor:
             tables = self._tables
             self._previous = {**self.virtual, **tables}
-            for name, atoms in self._atoms.items():
-                added, removed = state.relation(name).delta_from(
-                    before.relation(name)
-                )
-                if added or removed:
-                    for atom, match in atoms:
-                        tables[atom] = tables[atom].with_changes(
-                            match(added), match(removed)
-                        )
+            changes = state.delta_from(before)
+            for name, (added, removed) in changes.items():
+                for atom, match in self._atoms.get(name, ()):
+                    tables[atom] = tables[atom].with_changes(
+                        match(added), match(removed)
+                    )
         else:
             self._previous = {}
             self._tables = self._matched(state)
@@ -194,16 +193,44 @@ def leaves_of(formula: Formula) -> List[Tuple[Formula, FrozenSet[str]]]:
     return list(found.items())
 
 
+def header_of(formula: Formula) -> Tuple[str, ...]:
+    """The free variables of ``formula`` in the order it first mentions
+    them, left to right; an aggregate's result comes after the grouping
+    variables of its body."""
+    free = formula.free_vars
+    found: Dict[str, None] = {}
+
+    def walk(node: Formula) -> None:
+        if isinstance(node, Atom):
+            terms: Sequence = node.terms
+        elif isinstance(node, Comparison):
+            terms = (node.left, node.right)
+        else:
+            terms = ()
+        for term in terms:
+            if isinstance(term, Var) and term.name in free:
+                found.setdefault(term.name)
+        for child in node.children():
+            walk(child)
+        if isinstance(node, Aggregate) and node.result in free:
+            found.setdefault(node.result)
+
+    walk(formula)
+    return tuple(found)
+
+
 class View:
     """The result of one formula, kept up to date step by step.
 
     Args:
         formula: the kernel formula to maintain.
-        columns: header of the result table.  ``None`` keeps whatever
-            column order evaluation produces (the order a from-scratch
-            evaluation would report its witnesses in); views feeding an
-            auxiliary state fix it to the state's own column order so
-            tables pass through unprojected.
+        columns: header of the result table, fixed for the view's life
+            (default: the formula's free variables in the order it
+            first mentions them).  Evaluation orders its columns by the
+            step's join plan; a maintained result cannot follow that,
+            so the view projects onto one order of its own.  Views
+            feeding an auxiliary state pass the state's column order so
+            tables go through unprojected.
     """
 
     __slots__ = (
@@ -215,7 +242,7 @@ class View:
         self, formula: Formula, columns: Optional[Tuple[str, ...]] = None
     ):
         self.formula = formula
-        self.columns = columns
+        self.columns = header_of(formula) if columns is None else columns
         #: the maintained result (``None`` before the first refresh)
         self.table: Optional[Table] = None
         #: refreshes that ran the evaluator at all (the rest reused)
@@ -239,9 +266,11 @@ class View:
         stamp = provider.stamp
         if stamp != self._stamp:
             # a view shared by several nodes is refreshed by the first
-            # to ask; the stamp moves only once the step's work is done,
-            # so a refresh that raised is redone from scratch
+            # to ask; table, context and stamp move together and only
+            # once the work is done, so a refresh that raised is redone
+            # against the same previous table and context
             self.table = self._refreshed(provider, context, stamp)
+            self._context = context
             self._stamp = stamp
         return self.table
 
@@ -273,7 +302,6 @@ class View:
                 + (frozenset(context.columns),)
             )
             largest = max(largest, len(context))
-            self._context = context
 
         affected: Dict[FrozenSet[str], Set[Row]] = {}
         for columns, added, removed, shared in sources:
@@ -313,8 +341,4 @@ class View:
         self, provider: StateProvider, context: Optional[Table]
     ) -> Table:
         self.evaluations += 1
-        table = evaluate(self.formula, provider, context)
-        if self.columns is not None:
-            table = table.project(self.columns)
-        self._context = context
-        return table
+        return evaluate(self.formula, provider, context).project(self.columns)
