@@ -120,28 +120,31 @@ def reject_future_constraints(constraints, engine: str) -> None:
 
 
 class _NodeEvaluator:
-    """The ``evaluate_now`` one auxiliary state is advanced with: each
-    operand the state asks for is served from that operand's view."""
+    """The ``evaluate_now`` one auxiliary state is advanced with: the
+    state's operand comes from that operand's view.  Which operand is
+    meant follows from the call — ``SINCE`` evaluates its left operand
+    over a context (its stored candidates), and every state its anchor
+    operand without one — so the formula passed is not looked at."""
 
     __slots__ = ("provider", "plain", "contextual")
 
     def __init__(
         self,
         provider: StateProvider,
-        plain: Dict[Formula, View],
-        contextual: Dict[Formula, View],
+        plain: View,
+        contextual: Optional[View] = None,
     ):
         self.provider = provider
-        #: views of the operands evaluated on their own
+        #: view of the operand evaluated on its own
         self.plain = plain
-        #: views of the operands evaluated over a context table
+        #: view of ``SINCE``'s left operand, evaluated over a context
         self.contextual = contextual
 
     def __call__(
         self, formula: Formula, context: Optional[Table] = None
     ) -> Table:
-        views = self.plain if context is None else self.contextual
-        return views[formula].refresh(self.provider, context)
+        view = self.plain if context is None else self.contextual
+        return view.refresh(self.provider, context)
 
 
 class IncrementalChecker(AuxAccounting):
@@ -287,29 +290,39 @@ class IncrementalChecker(AuxAccounting):
                 )
             return view
 
-        self._evaluators: Dict[Formula, _NodeEvaluator] = {}
-        for node in self._aux:
+        self._node_labels = {node: str(node) for node in self._aux}
+        #: what a step does per auxiliary state, in bottom-up order:
+        #: (state, its evaluate_now, its label, its node's cell, the
+        #: cells of the nodes sharing it with their column renamings)
+        self._schedule: List[tuple] = []
+        contextual_views: List[View] = []
+        for node, aux in self._aux.items():
             if isinstance(node, Since):
-                plain = {node.right: operand_view(node.right)}
-                contextual = {
-                    node.left: View(node.left, tuple(sorted(node.free_vars)))
-                }
+                left = View(node.left, tuple(sorted(node.free_vars)))
+                contextual_views.append(left)
+                evaluator = _NodeEvaluator(
+                    self._provider, operand_view(node.right), left
+                )
             else:
-                plain = {node.operand: operand_view(node.operand)}
-                contextual = {}
-            self._evaluators[node] = _NodeEvaluator(
-                self._provider, plain, contextual
-            )
+                evaluator = _NodeEvaluator(
+                    self._provider, operand_view(node.operand)
+                )
+            self._schedule.append((
+                aux,
+                evaluator,
+                self._node_labels[node],
+                self._provider.cell(node),
+                [
+                    (self._provider.cell(member), columns)
+                    for member, columns in self._shared_members.get(node, ())
+                ],
+            ))
         self._constraint_views = [
             View(c.violation_formula) for c in self.constraints
         ]
         self._views: List[View] = (
             list(operand_views.values())
-            + [
-                view
-                for evaluator in self._evaluators.values()
-                for view in evaluator.contextual.values()
-            ]
+            + contextual_views
             + self._constraint_views
         )
         #: constraint evaluations actually performed; a step in which
@@ -334,7 +347,6 @@ class IncrementalChecker(AuxAccounting):
             )
             for c in self.constraints
         }
-        self._node_labels = {node: str(node) for node in self._aux}
 
     # ------------------------------------------------------------------
     # stepping
@@ -425,7 +437,6 @@ class IncrementalChecker(AuxAccounting):
         time = self._time
         provider = self._provider
         provider.advance(self.state, successor)
-        virtual = provider.virtual
 
         obs = self.instrumentation
         # bottom-up: registration order is post-order per constraint, so
@@ -434,27 +445,23 @@ class IncrementalChecker(AuxAccounting):
         # virtual table is fanned out to the member nodes by renaming
         # columns — a member's class was registered no later than any
         # node containing it, so fan-out preserves bottom-up resolution.
-        shared = self._shared_members
-        evaluators = self._evaluators
-        for node, aux in self._aux.items():
+        for aux, evaluator, label, cell, members in self._schedule:
             if obs is not None:
                 started = perf_counter()
-                table = aux.advance(time, evaluators[node])
+                table = aux.advance(time, evaluator)
                 obs.aux_advanced(
                     self.engine_label,
-                    self._node_labels[node],
+                    label,
                     perf_counter() - started,
                     aux.tuple_count(),
                 )
             else:
-                table = aux.advance(time, evaluators[node])
-            virtual[node] = table
-            members = shared.get(node)
-            if members:
-                for member, columns in members:
-                    virtual[member] = (
-                        table.rename(columns) if columns else table
-                    )
+                table = aux.advance(time, evaluator)
+            provider.publish(cell, table)
+            for member, columns in members:
+                provider.publish(
+                    member, table.rename(columns) if columns else table
+                )
 
         violations: List[Violation] = []
         budget = self.budget
@@ -504,8 +511,11 @@ class IncrementalChecker(AuxAccounting):
         ``view_keys`` how many affected keys its restricted runs
         re-evaluated, and ``bound_visits`` how many stored runs the
         auxiliary states touched because a window bound passed them.
-        At fixed traffic none of them depends on the resident state,
-        which is what the cost-model tests assert.
+        ``plans_compiled`` is how many evaluation plans were built
+        (:func:`repro.core.foeval.compile_plan`): one per formula and
+        context header, all within the first steps.  At fixed traffic
+        none of them depends on the resident state, which is what the
+        cost-model tests assert.
         """
         return {
             "view_evaluations": sum(v.evaluations for v in self._views),
@@ -513,6 +523,7 @@ class IncrementalChecker(AuxAccounting):
             "bound_visits": sum(
                 aux.bound_visits for aux in self._aux.values()
             ),
+            "plans_compiled": self._provider.plans.cache_info().misses,
         }
 
     def sharing_stats(self) -> Dict[str, float]:

@@ -12,6 +12,16 @@ valuation of ``f`` compatible with them.  Conjunctions are processed in
 the order planned by :mod:`repro.core.safety`, negations become
 anti-joins against the accumulated context, equalities bind or filter,
 and quantifiers project.
+
+A formula is not interpreted: :func:`compile_plan` turns it, once per
+context header, into a *plan* — a closure ``plan(provider, ctx)`` per
+node, each holding the plans of its children.  Everything the formula
+and the header decide is decided while the plan is built: which kind
+of node this is, whether a negation or comparison is evaluable, column
+positions of filters, which conjuncts are ready in which round.  What
+a plan still does when it runs is data work: fetch tables, join,
+filter, and — only in a round with several candidate joins — compare
+their current sizes.  :func:`evaluate` looks the plan up and runs it.
 """
 
 from __future__ import annotations
@@ -47,100 +57,18 @@ from repro.errors import UnsafeFormulaError
 #: before table-producing ones, and tables are joined smallest-first
 #: using the provider's actual cardinalities.  Set False to fall back
 #: to the static greedy order (the E11 planner-ablation benchmark).
+#: Read when a plan is looked up: it is part of the memo key, so a plan
+#: built in one mode never runs in the other.
 SELECTIVE_PLANNING = True
 
+#: plans one memo keeps before the least recently used one is dropped
+PLAN_MEMO_SIZE = 4096
 
-def _estimated_cardinality(
-    formula: Formula, provider: AtomProvider
-) -> int:
-    """Current size of a positive conjunct's table, for join ordering.
+#: a compiled formula: the context rows extended by its valuations
+Plan = Callable[["AtomProvider", Table], Table]
 
-    A provider that cannot resolve the conjunct raises here exactly as
-    it would when the conjunct is evaluated: a missing virtual table is
-    an ordering bug, not a reason to pick another join order.
-    """
-    if isinstance(formula, Atom):
-        return len(provider.atom_table(formula))
-    if isinstance(formula, (Prev, Once, Since, Next, Eventually, Until)):
-        return len(provider.temporal_table(formula))
-    return 1 << 20  # nested structure: no cheap estimate
-
-
-@lru_cache(maxsize=4096)
-def _readiness(
-    operands: Tuple[Formula, ...], bound: FrozenSet[str]
-) -> Tuple[Optional[FrozenSet[str]], ...]:
-    """:func:`repro.core.safety.analyze` of every conjunct under
-    ``bound``.  Pure in its (immutable) arguments, so each conjunction
-    is analysed once per binding set rather than once per step; only
-    the ranking by live cardinality below is redone."""
-    return tuple(analyze(operand, bound) for operand in operands)
-
-
-def _plan_order(operands, ctx: Table, provider: AtomProvider):
-    """Order a conjunction's operands for evaluation.
-
-    Safety (which conjuncts are evaluable when) is always decided by
-    :func:`repro.core.safety.analyze`; this only chooses among the
-    *currently evaluable* candidates.  With selective planning, each
-    round runs every applicable filter first (they only shrink the
-    context), then joins the smallest available table.
-    """
-    bound = frozenset(ctx.columns)
-    if not SELECTIVE_PLANNING:
-        return order_conjuncts(operands, bound)
-
-    remaining = list(range(len(operands)))
-    order = []
-    current = bound
-    while remaining:
-        results = _readiness(operands, current)
-        ready = [
-            (i, results[i]) for i in remaining if results[i] is not None
-        ]
-        if not ready:
-            return None
-        # filters: conjuncts that bind nothing new (negations, bound
-        # comparisons) — always run them first, cheapest wins trivially
-        filters = [i for i, res in ready if res == current]
-        if filters:
-            chosen = filters[0]
-        else:
-            # avoid Cartesian products: a conjunct sharing variables
-            # with the bound context joins selectively; a disconnected
-            # one multiplies.  Only fall back to disconnected picks
-            # when nothing is connected (e.g. the very first conjunct).
-            binders = [i for i, _ in ready]
-            connected = [
-                i
-                for i in binders
-                if not current or operands[i].free_vars & current
-            ]
-            pool = connected or binders
-            chosen = min(
-                pool,
-                key=lambda i: _estimated_cardinality(operands[i], provider),
-            )
-        order.append(chosen)
-        remaining.remove(chosen)
-        current = results[chosen]
-    return order
-
-
-class AtomProvider:
-    """Resolves atoms and temporal subformulas to tables.
-
-    Subclasses implement the two hooks; everything else in evaluation is
-    provider-independent.
-    """
-
-    def atom_table(self, atom: Atom) -> Table:
-        """Satisfying valuations of a relational atom at the eval point."""
-        raise NotImplementedError
-
-    def temporal_table(self, formula: Formula) -> Table:
-        """Satisfying valuations of a temporal subformula at the eval point."""
-        raise NotImplementedError
+_TEMPORAL = (Prev, Once, Since, Next, Eventually, Until)
+_NO_BINDINGS = Table.nullary(True)
 
 
 def atom_matcher(atom: Atom) -> Tuple[Tuple[str, ...], Callable]:
@@ -207,6 +135,329 @@ def relation_atom_table(relation, atom: Atom) -> Table:
     return match_atom(rows, atom)
 
 
+# ----------------------------------------------------------------------
+# conjunction ordering
+# ----------------------------------------------------------------------
+
+def _cardinality_of(formula: Formula) -> Callable[[AtomProvider], int]:
+    """How to read a positive conjunct's current size off a provider,
+    for join ordering.
+
+    A provider that cannot resolve the conjunct raises here exactly as
+    it would when the conjunct is evaluated: a missing virtual table is
+    an ordering bug, not a reason to pick another join order.
+    """
+    if isinstance(formula, Atom):
+        return lambda provider: len(provider.atom_table(formula))
+    if isinstance(formula, _TEMPORAL):
+        return lambda provider: len(provider.temporal_table(formula))
+    return lambda provider: 1 << 20  # nested structure: no cheap estimate
+
+
+class _SelectiveOrder:
+    """Selectivity-first order of a conjunction under ``bound`` variables.
+
+    Safety (which conjuncts are evaluable when) is always decided by
+    :func:`repro.core.safety.analyze`; this only chooses among the
+    *currently evaluable* candidates.  Each round runs an applicable
+    filter first (filters only shrink the context), else joins the
+    smallest available table.  A round is a function of the conjuncts
+    left and the variables bound, so it is analysed once and kept; a
+    call walks the kept rounds and asks the provider for sizes only
+    where a round really offers more than one join.
+    """
+
+    __slots__ = ("_operands", "_sizes", "_start", "_rounds", "_fixed")
+
+    def __init__(self, operands: Tuple[Formula, ...], bound: FrozenSet[str]):
+        self._operands = operands
+        self._sizes = [_cardinality_of(operand) for operand in operands]
+        self._start = (frozenset(range(len(operands))), bound)
+        #: (conjuncts left, variables bound) -> the round's candidates,
+        #: each ``(index, state after choosing it)``; none when stuck
+        self._rounds: Dict[tuple, tuple] = {}
+        #: ``(order,)`` once a walk met no round with a choice: no
+        #: later walk can differ
+        self._fixed: Optional[tuple] = None
+
+    def _round(
+        self, remaining: FrozenSet[int], current: FrozenSet[str]
+    ) -> tuple:
+        operands = self._operands
+        after = {i: analyze(operands[i], current) for i in sorted(remaining)}
+        ready = [i for i, result in after.items() if result is not None]
+        # filters: conjuncts that bind nothing new (negations, bound
+        # comparisons) — always run them first, cheapest wins trivially
+        pool = [i for i in ready if after[i] == current][:1]
+        if not pool:
+            # avoid Cartesian products: a conjunct sharing variables
+            # with the bound context joins selectively; a disconnected
+            # one multiplies.  Only fall back to disconnected picks
+            # when nothing is connected (e.g. the very first conjunct).
+            pool = [
+                i for i in ready
+                if not current or operands[i].free_vars & current
+            ] or ready
+        return tuple((i, (remaining - {i}, after[i])) for i in pool)
+
+    def __call__(self, provider: AtomProvider) -> Optional[List[int]]:
+        if self._fixed is not None:
+            return self._fixed[0]
+        rounds, sizes = self._rounds, self._sizes
+        order: List[int] = []
+        result: Optional[List[int]] = order
+        state = self._start
+        chose = False
+        while state[0]:
+            pool = rounds.get(state)
+            if pool is None:
+                pool = rounds[state] = self._round(*state)
+            if not pool:
+                result = None  # stuck: some conjunct is never evaluable
+                break
+            if len(pool) > 1:
+                chose = True
+                chosen, state = min(
+                    pool, key=lambda candidate: sizes[candidate[0]](provider)
+                )
+            else:
+                chosen, state = pool[0]
+            order.append(chosen)
+        if not chose:
+            self._fixed = (result,)
+        return result
+
+
+def conjunction_order(
+    operands: Tuple[Formula, ...], bound: FrozenSet[str], selective: bool
+) -> Callable[[AtomProvider], Optional[List[int]]]:
+    """The planner of one conjunction whose context binds ``bound``:
+    called with a provider, it returns the order (operand indices) to
+    evaluate in, or ``None`` when the conjunction cannot be ordered.
+    The list may be the planner's own: read it, do not change it."""
+    if selective:
+        return _SelectiveOrder(operands, bound)
+    order = order_conjuncts(operands, bound)
+    return lambda provider: order
+
+
+# ----------------------------------------------------------------------
+# compilation
+# ----------------------------------------------------------------------
+
+def compile_plan(
+    formula: Formula, columns: Tuple[str, ...], selective: bool
+) -> Plan:
+    """The plan of ``formula`` for contexts with header ``columns``.
+
+    Building never fails: a node that cannot be evaluated under these
+    columns compiles to a plan that raises its
+    :class:`~repro.errors.UnsafeFormulaError` when — and only when —
+    evaluation reaches it.
+    """
+    try:
+        return _compile(formula, columns, selective)
+    except UnsafeFormulaError as error:
+        return _raising(str(error))
+
+
+def _raising(message: str) -> Plan:
+    def run(provider: AtomProvider, ctx: Table) -> Table:
+        raise UnsafeFormulaError(message)
+
+    return run
+
+
+def _compile(
+    formula: Formula, columns: Tuple[str, ...], selective: bool
+) -> Plan:
+    bound = frozenset(columns)
+
+    if isinstance(formula, Atom):
+        return lambda provider, ctx: ctx.join(provider.atom_table(formula))
+
+    if isinstance(formula, _TEMPORAL):
+        return lambda provider, ctx: ctx.join(
+            provider.temporal_table(formula)
+        )
+
+    if isinstance(formula, Aggregate):
+        body = compile_plan(formula.body, (), selective)
+        group = sorted(formula.group_vars)
+        over, op, result = formula.over, formula.op.lower(), formula.result
+
+        def aggregate(provider: AtomProvider, ctx: Table) -> Table:
+            grouped = body(provider, _NO_BINDINGS).aggregate(
+                group, over, op, result
+            )
+            return ctx.join(grouped)
+
+        return aggregate
+
+    if isinstance(formula, Comparison):
+        return _compile_comparison(formula, columns)
+
+    if isinstance(formula, Not):
+        if not formula.operand.free_vars <= bound:
+            raise UnsafeFormulaError(explain_unsafe(formula, bound))
+        satisfied = compile_plan(formula.operand, columns, selective)
+        return lambda provider, ctx: ctx.difference(satisfied(provider, ctx))
+
+    if isinstance(formula, And):
+        return _compile_conjunction(formula, bound, selective)
+
+    if isinstance(formula, Or):
+        branches = [
+            compile_plan(branch, columns, selective)
+            for branch in formula.operands
+        ]
+
+        def disjunction(provider: AtomProvider, ctx: Table) -> Table:
+            parts = [branch(provider, ctx) for branch in branches]
+            if len({frozenset(part.columns) for part in parts}) != 1:
+                raise UnsafeFormulaError(explain_unsafe(formula, bound))
+            result = parts[0]
+            for part in parts[1:]:
+                result = result.union(part)
+            return result
+
+        return disjunction
+
+    if isinstance(formula, Exists):
+        inner = compile_plan(formula.operand, columns, selective)
+        variables = formula.variables
+        #: the body's header (it follows the join order) -> what is kept
+        kept: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
+        def exists(provider: AtomProvider, ctx: Table) -> Table:
+            table = inner(provider, ctx)
+            keep = kept.get(table.columns)
+            if keep is None:
+                keep = kept[table.columns] = tuple(
+                    c for c in table.columns if c not in variables
+                )
+            return table.project(keep)
+
+        return exists
+
+    raise UnsafeFormulaError(
+        f"cannot evaluate non-kernel node {type(formula).__name__}: "
+        f"{formula} — run normalize() first"
+    )
+
+
+def _compile_conjunction(
+    formula: And, bound: FrozenSet[str], selective: bool
+) -> Plan:
+    operands = formula.operands
+    order_for = conjunction_order(operands, bound, selective)
+    #: (operand, header it is reached with) -> its plan; the header
+    #: follows the join order, so plans are added as orders come up
+    steps: Dict[Tuple[int, Tuple[str, ...]], Plan] = {}
+
+    def conjunction(provider: AtomProvider, ctx: Table) -> Table:
+        order = order_for(provider)
+        if order is None:
+            raise UnsafeFormulaError(explain_unsafe(formula, bound))
+        current = ctx
+        for index in order:
+            key = (index, current.columns)
+            step = steps.get(key)
+            if step is None:
+                step = steps[key] = compile_plan(
+                    operands[index], current.columns, selective
+                )
+            current = step(provider, current)
+        return current
+
+    return conjunction
+
+
+def _compile_comparison(cmp: Comparison, columns: Tuple[str, ...]) -> Plan:
+    """A comparison filters when both sides are bound; an equality with
+    one side bound extends the context by the other."""
+    test = cmp.evaluate
+    sides = []
+    for term in (cmp.left, cmp.right):
+        if isinstance(term, Var):
+            name = term.name
+            position = columns.index(name) if name in columns else None
+            sides.append((name, position, None))
+        else:
+            sides.append((None, None, term.value))
+    (left_var, i, left), (right_var, j, right) = sides
+    left_bound = left_var is None or i is not None
+    right_bound = right_var is None or j is not None
+
+    if left_bound and right_bound:
+        if i is not None and j is not None:
+            def keep(rows):
+                return (r for r in rows if test(r[i], r[j]))
+        elif i is not None:
+            def keep(rows):
+                return (r for r in rows if test(r[i], right))
+        elif j is not None:
+            def keep(rows):
+                return (r for r in rows if test(left, r[j]))
+        else:
+            def keep(rows):
+                return (r for r in rows if test(left, right))
+        return lambda provider, ctx: Table._trusted(columns, keep(ctx.rows))
+
+    if cmp.op != "=" or not (left_bound or right_bound):
+        raise UnsafeFormulaError(explain_unsafe(cmp, frozenset(columns)))
+
+    # an equality binds its unbound side from the bound one
+    if left_bound:
+        new, source, value = right_var, i, left
+    else:
+        new, source, value = left_var, j, right
+    extended = columns + (new,)
+    if source is not None:
+        return lambda provider, ctx: Table._trusted(
+            extended, (r + (r[source],) for r in ctx.rows)
+        )
+    return lambda provider, ctx: Table._trusted(
+        extended, (r + (value,) for r in ctx.rows)
+    )
+
+
+# ----------------------------------------------------------------------
+# running plans
+# ----------------------------------------------------------------------
+
+def plan_memo() -> Callable[[Formula, Tuple[str, ...], bool], Plan]:
+    """A bounded memo of :func:`compile_plan`; ``cache_info().misses``
+    is how many plans it has compiled."""
+    return lru_cache(maxsize=PLAN_MEMO_SIZE)(compile_plan)
+
+
+#: the plans of every provider that does not bring a memo of its own
+_shared_plans = plan_memo()
+
+
+class AtomProvider:
+    """Resolves atoms and temporal subformulas to tables.
+
+    Subclasses implement the two hooks; everything else in evaluation is
+    provider-independent.
+    """
+
+    #: a :func:`plan_memo` of the provider's own, or ``None`` to keep
+    #: its plans in the one shared by the whole process (the incremental
+    #: checker's provider has its own, so that its plans are counted
+    #: and live exactly as long as it does)
+    plans = None
+
+    def atom_table(self, atom: Atom) -> Table:
+        """Satisfying valuations of a relational atom at the eval point."""
+        raise NotImplementedError
+
+    def temporal_table(self, formula: Formula) -> Table:
+        """Satisfying valuations of a temporal subformula at the eval point."""
+        raise NotImplementedError
+
+
 def evaluate(
     formula: Formula,
     provider: AtomProvider,
@@ -226,95 +477,6 @@ def evaluate(
     Returns:
         A table with columns ``context.columns ∪ fv(formula)``.
     """
-    ctx = context if context is not None else Table.nullary(True)
-
-    if isinstance(formula, Atom):
-        return ctx.join(provider.atom_table(formula))
-
-    if isinstance(formula, (Prev, Once, Since, Next, Eventually, Until)):
-        return ctx.join(provider.temporal_table(formula))
-
-    if isinstance(formula, Aggregate):
-        body_table = evaluate(formula.body, provider)
-        grouped = body_table.aggregate(
-            sorted(formula.group_vars),
-            formula.over,
-            formula.op.lower(),
-            formula.result,
-        )
-        return ctx.join(grouped)
-
-    if isinstance(formula, Comparison):
-        return _evaluate_comparison(formula, ctx)
-
-    if isinstance(formula, Not):
-        if not formula.operand.free_vars <= set(ctx.columns):
-            raise UnsafeFormulaError(explain_unsafe(formula, frozenset(ctx.columns)))
-        satisfied = evaluate(formula.operand, provider, ctx)
-        return ctx.difference(satisfied)
-
-    if isinstance(formula, And):
-        order = _plan_order(formula.operands, ctx, provider)
-        if order is None:
-            raise UnsafeFormulaError(
-                explain_unsafe(formula, frozenset(ctx.columns))
-            )
-        current = ctx
-        for index in order:
-            current = evaluate(formula.operands[index], provider, current)
-        return current
-
-    if isinstance(formula, Or):
-        parts = [
-            evaluate(branch, provider, ctx) for branch in formula.operands
-        ]
-        headers = {frozenset(p.columns) for p in parts}
-        if len(headers) != 1:
-            raise UnsafeFormulaError(
-                explain_unsafe(formula, frozenset(ctx.columns))
-            )
-        result = parts[0]
-        for part in parts[1:]:
-            result = result.union(part)
-        return result
-
-    if isinstance(formula, Exists):
-        inner = evaluate(formula.operand, provider, ctx)
-        return inner.drop(*formula.variables)
-
-    raise UnsafeFormulaError(
-        f"cannot evaluate non-kernel node {type(formula).__name__}: "
-        f"{formula} — run normalize() first"
-    )
-
-
-def _evaluate_comparison(cmp: Comparison, ctx: Table) -> Table:
-    bound = set(ctx.columns)
-    left_var = cmp.left.name if isinstance(cmp.left, Var) else None
-    right_var = cmp.right.name if isinstance(cmp.right, Var) else None
-    left_bound = left_var is None or left_var in bound
-    right_bound = right_var is None or right_var in bound
-
-    if left_bound and right_bound:
-        def row_value(row: Dict[str, Value], var: Optional[str], term) -> Value:
-            return row[var] if var is not None else term.value
-
-        return ctx.select(
-            lambda row: cmp.evaluate(
-                row_value(row, left_var, cmp.left),
-                row_value(row, right_var, cmp.right),
-            )
-        )
-
-    if cmp.op != "=":
-        raise UnsafeFormulaError(explain_unsafe(cmp, frozenset(bound)))
-
-    if left_bound and right_var is not None:
-        if left_var is not None:
-            return ctx.extend_copy(left_var, right_var)
-        return ctx.extend_const(right_var, cmp.left.value)  # type: ignore[union-attr]
-    if right_bound and left_var is not None:
-        if right_var is not None:
-            return ctx.extend_copy(right_var, left_var)
-        return ctx.extend_const(left_var, cmp.right.value)  # type: ignore[union-attr]
-    raise UnsafeFormulaError(explain_unsafe(cmp, frozenset(bound)))
+    ctx = _NO_BINDINGS if context is None else context
+    plans = getattr(provider, "plans", None) or _shared_plans
+    return plans(formula, ctx.columns, SELECTIVE_PLANNING)(provider, ctx)

@@ -29,12 +29,15 @@ affected keys are most of the input anyway, the context is simply
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.foeval import (
     AtomProvider,
     atom_matcher,
     evaluate,
+    plan_memo,
     relation_atom_table,
 )
 from repro.core.formulas import (
@@ -50,13 +53,29 @@ from repro.db.database import DatabaseState
 from repro.db.types import Row
 from repro.errors import MonitorError
 
-#: A leaf's change in one step: its table's columns, then the rows that
-#: entered and the rows that left.
-LeafDelta = Tuple[Tuple[str, ...], FrozenSet[Row], FrozenSet[Row]]
-
 #: Restricted re-evaluation pays a probe and a patch per key; once the
 #: keys are this share of the largest input, evaluate everything.
 WHOLE_SHARE = 0.5
+
+_UNCHANGED = (frozenset(), frozenset())
+
+
+class Leaf:
+    """One leaf's table at the provider's current step, and how it got
+    there: the cell views read instead of asking by formula."""
+
+    __slots__ = ("formula", "table", "delta", "stamp")
+
+    #: the leaf's table as of step ``stamp`` (unset until there is one)
+    table: Table
+
+    def __init__(self, formula: Formula):
+        self.formula = formula
+        #: ``(rows entered, rows left)`` against the step before, or
+        #: ``None`` when there is nothing to compare with
+        self.delta: Optional[Tuple[FrozenSet[Row], FrozenSet[Row]]] = None
+        #: the provider's step the table belongs to (none yet: -1)
+        self.stamp = -1
 
 
 class StateProvider(AtomProvider):
@@ -64,11 +83,13 @@ class StateProvider(AtomProvider):
 
     Resolves atoms from tables maintained across steps and temporal
     nodes from the virtual tables the checker computes bottom-up in the
-    same step.  Each distinct atom of the constraint set keeps its
-    table of satisfying valuations; :meth:`advance` patches it with the
-    pattern-matched rows its relation really gained and lost, so a
-    relation is matched in full only once.  :meth:`delta_of` reports
-    any leaf's change against the previous step.
+    same step.  Every leaf has one :class:`Leaf` cell.  An atom's cell
+    is patched by :meth:`advance` with the pattern-matched rows its
+    relation really gained and lost, so a relation is matched in full
+    only once; a temporal node's is filled when the checker
+    :meth:`publish` is given its virtual table.  Either way the change
+    against the previous step falls out of the same operation and is
+    left in the cell.
     """
 
     def __init__(self, atoms: Sequence[Atom], state: DatabaseState):
@@ -76,29 +97,36 @@ class StateProvider(AtomProvider):
         #: increases by one per step; a view that was not refreshed at
         #: the previous stamp has missed a delta and starts over
         self.stamp = 0
-        #: this step's virtual tables, filled bottom-up by the checker
-        self.virtual: Dict[Formula, Table] = {}
-        #: relation name -> [(atom, match)]: the maintained atoms
+        #: plans compiled against this provider (see AtomProvider.plans)
+        self.plans = plan_memo()
+        #: whether this step's state came from the last by a transaction
+        self._successor = False
+        self._cells: Dict[Formula, Leaf] = {}
+        #: relation name -> [(cell, match)]: the maintained atoms
         self._atoms: Dict[str, list] = {}
         for atom in atoms:
-            self._atoms.setdefault(atom.relation, []).append(
-                (atom, atom_matcher(atom)[1])
-            )
-        self._tables = self._matched(state)
-        #: last step's leaf tables, and this step's deltas against them
-        self._previous: Dict[Formula, Table] = {}
-        self._deltas: Dict[Formula, Optional[LeafDelta]] = {}
+            self.cell(atom)
 
-    def _matched(self, state: DatabaseState) -> Dict[Atom, Table]:
-        """Every maintained atom matched against ``state`` in full."""
-        return {
-            atom: relation_atom_table(state.relation(name), atom)
-            for name, atoms in self._atoms.items()
-            for atom, _match in atoms
-        }
+    def cell(self, leaf: Formula) -> Leaf:
+        """The cell of an atom or temporal node.  An atom asked for the
+        first time joins the maintained ones, matched against the
+        current state in full."""
+        cell = self._cells.get(leaf)
+        if cell is None:
+            cell = Leaf(leaf)
+            if isinstance(leaf, Atom):
+                cell.table = relation_atom_table(
+                    self.state.relation(leaf.relation), leaf
+                )
+                cell.stamp = self.stamp
+                self._atoms.setdefault(leaf.relation, []).append(
+                    (cell, atom_matcher(leaf)[1])
+                )
+            self._cells[leaf] = cell
+        return cell
 
     def advance(self, state: DatabaseState, successor: bool) -> None:
-        """Move to ``state`` and open a new set of virtual tables.
+        """Move to ``state``; temporal nodes await this step's tables.
 
         When ``state`` is the ``successor`` of the current one by a
         transaction, every atom table is patched by its relation's
@@ -107,60 +135,59 @@ class StateProvider(AtomProvider):
         """
         before = self.state
         self.state = state
-        self.stamp += 1
-        self._deltas = {}
+        self.stamp = stamp = self.stamp + 1
+        self._successor = successor
         if successor:
-            tables = self._tables
-            self._previous = {**self.virtual, **tables}
             changes = state.delta_from(before)
-            for name, (added, removed) in changes.items():
-                for atom, match in self._atoms.get(name, ()):
-                    tables[atom] = tables[atom].with_changes(
-                        match(added), match(removed)
+            for name, atoms in self._atoms.items():
+                change = changes.get(name)
+                for cell, match in atoms:
+                    cell.stamp = stamp
+                    if change is None:
+                        cell.delta = _UNCHANGED
+                        continue
+                    previous = cell.table
+                    cell.table = table = previous.with_changes(
+                        match(change[0]), match(change[1])
                     )
+                    cell.delta = table.delta_from(previous)
         else:
-            self._previous = {}
-            self._tables = self._matched(state)
-        self.virtual = {}
+            for name, atoms in self._atoms.items():
+                relation = state.relation(name)
+                for cell, _match in atoms:
+                    cell.table = relation_atom_table(relation, cell.formula)
+                    cell.delta = None
+                    cell.stamp = stamp
+
+    def publish(self, cell: Leaf, table: Table) -> None:
+        """Make ``table`` a temporal node's virtual table of this step."""
+        if (
+            self._successor
+            and cell.stamp == self.stamp - 1
+            and cell.table.columns == table.columns
+        ):
+            cell.delta = table.delta_from(cell.table)
+        else:
+            cell.delta = None
+        cell.table = table
+        cell.stamp = self.stamp
 
     def atom_table(self, atom: Atom) -> Table:
-        table = self._tables.get(atom)
-        if table is None:  # not an atom of the constraint set
-            table = relation_atom_table(
+        cell = self._cells.get(atom)
+        if cell is None:  # not an atom of the constraint set
+            return relation_atom_table(
                 self.state.relation(atom.relation), atom
             )
-        return table
+        return cell.table
 
     def temporal_table(self, formula: Formula) -> Table:
-        try:
-            return self.virtual[formula]
-        except KeyError:
+        cell = self._cells.get(formula)
+        if cell is None or cell.stamp != self.stamp:
             raise MonitorError(
                 f"virtual table missing for {formula}; temporal nodes "
                 f"must be advanced bottom-up"
-            ) from None
-
-    def table_of(self, leaf: Formula) -> Table:
-        """The current table of an atom or temporal node."""
-        if isinstance(leaf, Atom):
-            return self.atom_table(leaf)
-        return self.temporal_table(leaf)
-
-    def delta_of(self, leaf: Formula) -> Optional[LeafDelta]:
-        """How ``leaf``'s table changed in this step; ``None`` when
-        there is no previous table to compare with."""
-        try:
-            return self._deltas[leaf]
-        except KeyError:
-            pass
-        table = self.table_of(leaf)
-        previous = self._previous.get(leaf)
-        if previous is None or previous.columns != table.columns:
-            delta = None
-        else:
-            delta = (table.columns,) + table.delta_from(previous)
-        self._deltas[leaf] = delta
-        return delta
+            )
+        return cell.table
 
 
 def leaves_of(formula: Formula) -> List[Tuple[Formula, FrozenSet[str]]]:
@@ -219,6 +246,37 @@ def header_of(formula: Formula) -> Tuple[str, ...]:
     return tuple(found)
 
 
+class _Keys:
+    """How a view reads its keys off one source of change (a leaf, or
+    its context): the columns the source shares with the view, in the
+    view's order, and the projection of a source row onto them."""
+
+    __slots__ = ("columns", "_header", "_key")
+
+    def __init__(self, columns: Tuple[str, ...]):
+        self.columns = columns
+        self._header: Optional[Tuple[str, ...]] = None
+        self._key = tuple_of(())
+
+    def note(
+        self,
+        affected: Dict[Tuple[str, ...], Set[Row]],
+        header: Tuple[str, ...],
+        added: Iterable[Row],
+        removed: Iterable[Row],
+    ) -> None:
+        """Add the keys of the rows that entered and left the source
+        (rows under ``header``) to ``affected``, by key columns."""
+        if header != self._header:
+            # a source's header does not change; it is only unknown
+            # until its first table arrives
+            self._key = tuple_of([header.index(c) for c in self.columns])
+            self._header = header
+        keys = affected.setdefault(self.columns, set())
+        keys.update(map(self._key, added))
+        keys.update(map(self._key, removed))
+
+
 class View:
     """The result of one formula, kept up to date step by step.
 
@@ -235,7 +293,8 @@ class View:
 
     __slots__ = (
         "formula", "columns", "table", "evaluations", "keys_evaluated",
-        "_leaves", "_context", "_stamp",
+        "_leaves", "_provider", "_sources", "_context_keys", "_context",
+        "_stamp",
     )
 
     def __init__(
@@ -250,8 +309,16 @@ class View:
         #: affected keys re-evaluated by restricted refreshes
         self.keys_evaluated = 0
         self._leaves = leaves_of(formula)
+        #: the provider whose cells the leaves are bound to
+        self._provider: Optional[StateProvider] = None
+        #: each leaf's cell with how its rows map to this view's keys
+        self._sources: List[Tuple[Leaf, _Keys]] = []
+        self._context_keys: Optional[_Keys] = None
         self._context: Optional[Table] = None
         self._stamp = -1
+
+    def _shared_with(self, variables) -> Tuple[str, ...]:
+        return tuple(c for c in self.columns if c in variables)
 
     def refresh(
         self, provider: StateProvider, context: Optional[Table] = None
@@ -284,49 +351,52 @@ class View:
             or (context is not None and self._context is None)
         ):
             return self._evaluate_whole(provider, context)
+        if provider is not self._provider:
+            # bind each leaf to its cell once: from here on a refresh
+            # reads attributes instead of asking by formula
+            self._sources = [
+                (provider.cell(leaf), _Keys(self._shared_with(shared)))
+                for leaf, shared in self._leaves
+            ]
+            self._provider = provider
 
-        # every source of change: (its columns, rows entered, rows
-        # left, the columns it shares with the view)
-        sources = []
-        largest = 0
-        for leaf, shared in self._leaves:
-            delta = provider.delta_of(leaf)
-            if delta is None:
+        # every source of change: the rows that entered and left it,
+        # projected on the columns it shares with the view — keys in
+        # the view's own column order, so that a key over every column
+        # is a row
+        affected: Dict[Tuple[str, ...], Set[Row]] = {}
+        for cell, keys in self._sources:
+            if cell.stamp != stamp or cell.delta is None:
                 return self._evaluate_whole(provider, context)
-            sources.append(delta + (shared,))
-            largest = max(largest, len(provider.table_of(leaf)))
+            added, removed = cell.delta
+            if added or removed:
+                if not keys.columns:
+                    return self._evaluate_whole(provider, context)
+                keys.note(affected, cell.table.columns, added, removed)
         if context is not None:
-            sources.append(
-                (context.columns,)
-                + context.delta_from(self._context)
-                + (frozenset(context.columns),)
-            )
-            largest = max(largest, len(context))
-
-        affected: Dict[FrozenSet[str], Set[Row]] = {}
-        for columns, added, removed, shared in sources:
-            if not added and not removed:
-                continue
-            if not shared:
-                return self._evaluate_whole(provider, context)
-            # keys in the view's own column order, so that a key over
-            # every column is a row
-            key = tuple_of([
-                columns.index(c) for c in table.columns if c in shared
-            ])
-            keys = affected.setdefault(shared, set())
-            keys.update(map(key, added))
-            keys.update(map(key, removed))
+            added, removed = context.delta_from(self._context)
+            if added or removed:
+                if self._context_keys is None:
+                    self._context_keys = _Keys(
+                        self._shared_with(context.columns)
+                    )
+                self._context_keys.note(
+                    affected, context.columns, added, removed
+                )
         if not affected:
             return table
         count = sum(len(keys) for keys in affected.values())
+        largest = max(
+            (len(cell.table) for cell, _keys in self._sources), default=0
+        )
+        if context is not None:
+            largest = max(largest, len(context))
         if count >= WHOLE_SHARE * largest:
             return self._evaluate_whole(provider, context)
 
         self.evaluations += 1
         self.keys_evaluated += count
-        for shared, keys in affected.items():
-            columns = tuple(c for c in table.columns if c in shared)
+        for columns, keys in affected.items():
             restricted = Table._trusted(columns, keys)
             if context is not None:
                 restricted = restricted.join(context)

@@ -14,6 +14,7 @@ cartesian product.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import itemgetter
 from typing import (
     Callable,
@@ -118,6 +119,32 @@ def patch_index(
         bucket = patched.get(k)
         patched[k] = bucket | {row} if bucket else frozenset((row,))
     return patched
+
+
+@lru_cache(maxsize=4096)
+def _join_layout(mine: Tuple[str, ...], theirs: Tuple[str, ...]) -> tuple:
+    """Everything about ``mine JOIN theirs`` that the two headers
+    decide, worked out once per pair of headers:
+
+    ``(result header, positions of the shared columns in mine, in
+    theirs, index key of a left row, of a right row, a right row's
+    private columns as a tuple, a left row's shared columns as the
+    right row they must equal — or None when theirs has private
+    columns)``.  Shared columns are taken in ``theirs``' order.
+    """
+    shared = [c for c in theirs if c in mine]
+    private = [c for c in theirs if c not in mine]
+    l_idx = tuple(mine.index(c) for c in shared)
+    r_idx = tuple(theirs.index(c) for c in shared)
+    return (
+        mine + tuple(private),
+        l_idx,
+        r_idx,
+        key_of(l_idx) if shared else None,
+        key_of(r_idx) if shared else None,
+        tuple_of([theirs.index(c) for c in private]),
+        None if private else tuple_of(l_idx),
+    )
 
 
 class Table:
@@ -255,7 +282,9 @@ class Table:
         Keys follow :func:`key_of` over the columns' positions in the
         order given.
         """
-        positions = tuple(self.column_index(c) for c in columns)
+        return self._index_at(tuple(self.column_index(c) for c in columns))
+
+    def _index_at(self, positions: Tuple[int, ...]) -> Index:
         index = self._indexes.get(positions)
         if index is None:
             index = self._indexes[positions] = build_index(
@@ -513,42 +542,38 @@ class Table:
         if mine == theirs:
             return Table._trusted(mine, self.rows & other.rows)
 
-        shared = [c for c in theirs if c in mine]
-        private = [c for c in theirs if c not in mine]
-        out_cols = mine + tuple(private)
-        if not shared:
-            return Table._trusted(
-                out_cols, [lr + rr for lr in self.rows for rr in other.rows]
-            )
+        out_cols, l_idx, r_idx, left_key, right_key, tail, as_right_row = (
+            _join_layout(mine, theirs)
+        )
         left, right = self.rows, other.rows
-        l_idx = tuple(mine.index(c) for c in shared)
-        r_idx = tuple(theirs.index(c) for c in shared)
-        tail = tuple_of([theirs.index(c) for c in private])
+        if not l_idx:
+            return Table._trusted(
+                out_cols, [lr + rr for lr in left for rr in right]
+            )
 
-        if not private and len(right) * PROBE_RATIO > len(left):
+        if as_right_row is not None and len(right) * PROBE_RATIO > len(left):
             # every right column is shared, so a right row is its own
             # key: membership, no index at all
-            lookup = tuple_of(l_idx)
             return Table._trusted(
-                out_cols, (lr for lr in left if lookup(lr) in right)
+                out_cols, (lr for lr in left if as_right_row(lr) in right)
             )
         if len(left) <= len(right):
             if len(left) * PROBE_RATIO <= len(right) or (
                 r_idx in other._indexes
             ):
-                index = other.index_on(shared)  # cached: no scan of right
-                scan, key, left_scanned = left, key_of(l_idx), True
+                index = other._index_at(r_idx)  # cached: no scan of right
+                scan, key, left_scanned = left, left_key, True
             else:
                 index = build_index(left, l_idx)
-                scan, key, left_scanned = right, key_of(r_idx), False
+                scan, key, left_scanned = right, right_key, False
         elif len(right) * PROBE_RATIO <= len(left) or (
             l_idx in self._indexes
         ):
-            index = self.index_on(shared)
-            scan, key, left_scanned = right, key_of(r_idx), False
+            index = self._index_at(l_idx)
+            scan, key, left_scanned = right, right_key, False
         else:
             index = build_index(right, r_idx)
-            scan, key, left_scanned = left, key_of(l_idx), True
+            scan, key, left_scanned = left, left_key, True
         get = index.get
         if left_scanned:
             rows = [lr + tail(rr) for lr in scan for rr in get(key(lr), ())]

@@ -14,6 +14,7 @@ from typing import (
     Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set, Tuple,
 )
 
+from repro.db.algebra import effective_change
 from repro.db.relation import Relation
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
@@ -81,14 +82,20 @@ class DatabaseState:
 
         Untouched relations are shared between the two states.
         """
+        # every row is validated here, once, before any relation
+        # changes; the relations then take the rows as they are
         txn.validate(self.schema)
         if txn.is_noop:
             return self
         new_rels = dict(self._relations)
         for name in txn.touched_relations():
-            new_rels[name] = self._relations[name].with_changes(
-                inserts=txn.inserts.get(name, ()),
-                deletes=txn.deletes.get(name, ()),
+            relation = self._relations[name]
+            new_rels[name] = relation._changed(
+                *effective_change(
+                    relation.rows,
+                    txn.inserts.get(name, ()),
+                    txn.deletes.get(name, ()),
+                )
             )
         successor = object.__new__(DatabaseState)
         successor.schema = self.schema  # same schema, relations of it

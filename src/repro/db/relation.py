@@ -76,16 +76,23 @@ class Relation:
         not already hold are validated, and a change that changes
         nothing returns ``self``.
         """
-        rows = self.rows
         added, removed = effective_change(
-            rows,
+            self.rows,
             (tuple(r) for r in inserts),
             [tuple(r) for r in deletes],
         )
-        if not added and not removed:
-            return self
         for r in added:
             self.schema.validate_row(r)
+        return self._changed(added, removed)
+
+    def _changed(
+        self, added: FrozenSet[Row], removed: FrozenSet[Row]
+    ) -> "Relation":
+        """The successor by an *effective* change of valid rows:
+        ``added`` are not held, ``removed`` are."""
+        if not added and not removed:
+            return self
+        rows = self.rows
         successor = object.__new__(Relation)
         successor.schema = self.schema
         successor.rows = (rows - removed) | added if removed else rows | added

@@ -5,8 +5,9 @@ crossing a window bound, never of the resident state.  Two plants are
 driven with *the same* four reporting sensors; one keeps 46 further
 sensors resident, the other 796, all of them at the critical level so
 that they sit in every operand table and in every auxiliary relation.
-Rows validated by ``apply``, view evaluations, affected keys and
-auxiliary runs visited must then be equal, step for step.
+Rows validated by ``apply``, view evaluations, affected keys,
+auxiliary runs visited and plans compiled must then be equal, step for
+step.
 """
 
 import random
@@ -90,14 +91,22 @@ def test_per_step_work_does_not_depend_on_the_resident_state(monkeypatch):
     assert any(small_verdicts), "the traffic must violate sometimes"
     assert small[SETTLED:] == large[SETTLED:]
     steady = large[SETTLED:]
-    # and the work is the delta's: a handful of rows (each checked by
-    # the transaction and once more when it enters a relation), keys
-    # and runs
-    assert max(row["validated"] for row in steady) <= 8 * REPORTING
+    # and the work is the delta's: a handful of rows (each checked
+    # once, by the transaction, before any relation changes), keys and
+    # runs
+    assert max(row["validated"] for row in steady) <= 4 * REPORTING
     assert max(row["view_keys"] for row in steady) <= 8 * REPORTING
     assert max(row["bound_visits"] for row in steady) <= 4 * REPORTING
     assert sum(row["view_keys"] for row in steady) > 0
     assert sum(row["bound_visits"] for row in steady) > 0
+    # nothing is planned per step: a plan is compiled the first time a
+    # formula meets a context header (the last one here when a view
+    # first re-evaluates single keys), as many for the small plant as
+    # for the large one, and then never again
+    assert not any(row["plans_compiled"] for row in large[STEPS // 2:])
+    assert checker.work_counters()["plans_compiled"] == sum(
+        row["plans_compiled"] for row in small
+    ) <= 2 * len(checker._views)
     # while the state the work did not scale with really is resident
     assert checker.state.total_rows >= 796
     assert checker.aux_tuple_count() > 796

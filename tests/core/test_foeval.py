@@ -38,6 +38,13 @@ def ev(text, provider, context=None):
     return evaluate(normalize(parse(text)), provider, context)
 
 
+def planned(operands, ctx, provider):
+    """The selective order of a conjunction evaluated in ``ctx``."""
+    from repro.core.foeval import conjunction_order
+
+    return conjunction_order(operands, frozenset(ctx.columns), True)(provider)
+
+
 class TestMatchAtom:
     def test_variables(self):
         t = match_atom([(1, 2), (3, 4)], Atom("r", [Var("x"), Var("y")]))
@@ -193,11 +200,8 @@ class TestSelectivePlanning:
         # plan order: q (smallest table), then the negation filter,
         # then the big relation; verified indirectly by the answer and
         # directly by the planner
-        from repro.core.foeval import _plan_order
-        from repro.db.algebra import Table
-
         f = normalize(parse("r(x, y) AND q(x) AND NOT p(y)"))
-        order = _plan_order(f.operands, Table.nullary(True), provider)
+        order = planned(f.operands, Table.nullary(True), provider)
         # q (index 1) is smaller than r (index 0), so it leads;
         # NOT p(y) needs y, bound only by r, so it must come last
         assert order is not None
@@ -205,14 +209,12 @@ class TestSelectivePlanning:
         assert order[-1] == 2 or order[1] == 0
 
     def test_connected_join_preferred(self, provider):
-        from repro.core.foeval import _plan_order
-
         # with x already bound by the context, q(z) is disconnected:
         # the planner must extend along p(x)/r(x,y) before
         # cross-producting q(z), even though q is the smallest table
         ctx = Table(("x",), [(1,), (2,)])
         f = normalize(parse("p(x) AND q(z) AND r(x, y)"))
-        order = _plan_order(f.operands, ctx, provider)
+        order = planned(f.operands, ctx, provider)
         assert order is not None
         assert order.index(1) == 2, (
             "disconnected q(z) must come last"
@@ -222,9 +224,9 @@ class TestSelectivePlanning:
         with pytest.raises(UnsafeFormulaError):
             ev("NOT p(x) AND NOT q(x)", provider)
 
-    #: (conjunction, context columns, order) as planned before the
-    #: safety analysis was cached per (conjunction, bound variables):
-    #: caching must change how often analysis runs, never what it says
+    #: (conjunction, context columns, order) as planned when every
+    #: evaluation analysed and ranked its conjunctions afresh: keeping
+    #: the rounds must change how often analysis runs, never what it says
     PINNED_ORDERS = [
         ("p(x) AND q(x)", (), [1, 0]),
         ("p(x) AND NOT q(x) AND x >= 2", (), [0, 1, 2]),
@@ -242,28 +244,29 @@ class TestSelectivePlanning:
 
     @pytest.mark.parametrize("text, columns, expected", PINNED_ORDERS)
     def test_planned_orders_are_unchanged(
-        self, text, columns, expected, provider
+        self, text, columns, expected, provider, monkeypatch
     ):
-        from repro.core.foeval import _plan_order, _readiness
+        from repro.core import foeval
 
         f = normalize(parse(text))
-        ctx = Table(columns, []) if columns else Table.nullary(True)
-        assert _plan_order(f.operands, ctx, provider) == expected
-        # planned again, the analysis comes from the cache ...
-        hits = _readiness.cache_info().hits
-        assert _plan_order(f.operands, ctx, provider) == expected
-        assert _readiness.cache_info().hits > hits
+        order_for = foeval.conjunction_order(
+            f.operands, frozenset(columns), True
+        )
+        assert order_for(provider) == expected
+        # planned again, the analysis comes from the kept rounds ...
+        monkeypatch.setattr(foeval, "analyze", None)
+        assert order_for(provider) == expected
 
     def test_order_still_follows_live_cardinality(self):
-        from repro.core.foeval import _plan_order
+        from repro.core.foeval import conjunction_order
 
         f = normalize(parse("p(x) AND q(x)"))
-        ctx = Table.nullary(True)
+        order_for = conjunction_order(f.operands, frozenset(), True)
         few_q = DictProvider({"p": [(1,), (2,)], "q": [(1,)]})
         few_p = DictProvider({"p": [(1,)], "q": [(1,), (2,)]})
         # ... while the ranking is redone against the tables of the day
-        assert _plan_order(f.operands, ctx, few_q) == [1, 0]
-        assert _plan_order(f.operands, ctx, few_p) == [0, 1]
+        assert order_for(few_q) == [1, 0]
+        assert order_for(few_p) == [0, 1]
 
 
 class TestProviderErrorsPropagate:
@@ -289,7 +292,7 @@ class TestProviderErrorsPropagate:
             evaluate(And(Atom("p", [Var("x")]), node), checker._provider)
 
     def test_estimate_does_not_hide_a_provider_failure(self, provider):
-        from repro.core.foeval import _estimated_cardinality
+        from repro.core.foeval import _cardinality_of
         from repro.core.formulas import Once
 
         class Broken(DictProvider):
@@ -297,6 +300,297 @@ class TestProviderErrorsPropagate:
                 raise KeyError(atom.relation)
 
         with pytest.raises(KeyError):
-            _estimated_cardinality(Atom("p", [Var("x")]), Broken({}))
+            _cardinality_of(Atom("p", [Var("x")]))(Broken({}))
         with pytest.raises(AssertionError):
-            _estimated_cardinality(Once(Atom("p", [Var("x")])), provider)
+            _cardinality_of(Once(Atom("p", [Var("x")])))(provider)
+
+
+class TestPlanningModeIsPartOfThePlan:
+    """Plans are kept; the ablation switch is read when one is looked
+    up, so neither mode can run the other's plan."""
+
+    def test_flipping_between_two_evaluations_of_one_formula(
+        self, provider, monkeypatch
+    ):
+        from repro.core import foeval
+
+        # disjoint variables, so the header spells the join order out
+        f = normalize(parse("p(x) AND q(z)"))
+        monkeypatch.setattr(foeval, "SELECTIVE_PLANNING", False)
+        greedy = evaluate(f, provider)
+        assert greedy.columns == ("x", "z")  # textual order
+        monkeypatch.setattr(foeval, "SELECTIVE_PLANNING", True)
+        selective = evaluate(f, provider)
+        assert selective.columns == ("z", "x")  # q is the smaller table
+        monkeypatch.setattr(foeval, "SELECTIVE_PLANNING", False)
+        assert evaluate(f, provider).columns == ("x", "z")
+        assert greedy == selective
+
+    def test_a_checkers_own_memo_keeps_the_modes_apart_too(self, monkeypatch):
+        from repro.core import foeval
+        from repro.core.checker import Constraint, IncrementalChecker
+        from repro.db import DatabaseSchema, Transaction
+
+        schema = DatabaseSchema.from_dict({"p": ["a"], "q": ["a"]})
+        checker = IncrementalChecker(schema, [Constraint("c", "p(x) -> q(x)")])
+        checker.step(0, Transaction({"p": [(1,), (2,)], "q": [(2,)]}))
+        f = normalize(parse("p(x) AND q(z)"))
+        compiled = checker.work_counters()["plans_compiled"]
+        assert evaluate(f, checker._provider).columns == ("z", "x")
+        monkeypatch.setattr(foeval, "SELECTIVE_PLANNING", False)
+        assert evaluate(f, checker._provider).columns == ("x", "z")
+        assert checker.work_counters()["plans_compiled"] == compiled + 2
+
+
+class TestPlanMemo:
+    def test_memo_is_bounded(self, provider):
+        from repro.core import foeval
+
+        memo = foeval.plan_memo()
+        for value in range(foeval.PLAN_MEMO_SIZE + 50):
+            memo(Atom("p", [Const(value)]), (), True)
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize == foeval.PLAN_MEMO_SIZE
+
+    def test_plans_reach_join_through_the_class_at_call_time(
+        self, provider, monkeypatch
+    ):
+        f = normalize(parse("p(x) AND r(x, y) AND NOT q(x)"))
+        expected = evaluate(f, provider)  # compiled and kept
+        joins = []
+        join = Table.join
+
+        def counting(self, other):
+            joins.append((self.columns, other.columns))
+            return join(self, other)
+
+        monkeypatch.setattr(Table, "join", counting)
+        assert evaluate(f, provider) == expected
+        assert len(joins) >= 3
+
+
+class TestErrorParity:
+    """An unevaluable node fails when evaluation reaches it — from the
+    ``evaluate`` call, with the message the interpreter used to give —
+    and never while another formula is compiled."""
+
+    CASES = [
+        (
+            "NOT p(x)",
+            "negation NOT p(x) has free variables ['x'] not bound by any "
+            "positive conjunct",
+        ),
+        (
+            "x < y",
+            "comparison x < y needs its variables bound by other conjuncts "
+            "(bound here: {})",
+        ),
+        (
+            "p(x) OR q(y)",
+            "disjuncts of (p(x) OR q(y)) bind different variable sets; each "
+            "disjunct must bind the same free variables",
+        ),
+        (
+            "NOT p(x) AND NOT q(x)",
+            "negation NOT p(x) has free variables ['x'] not bound by any "
+            "positive conjunct (conjunction cannot be ordered; stuck "
+            "conjuncts: NOT p(x); NOT q(x)) [at AND[0] > NOT]",
+        ),
+        (
+            "p(x) AND y < x",
+            "comparison y < x needs its variables bound by other conjuncts "
+            "(bound here: ['x']) (conjunction cannot be ordered; stuck "
+            "conjuncts: y < x) [at AND[1] > y < x]",
+        ),
+        (
+            "p(x) AND (q(x) OR NOT r(x, y))",
+            "disjunct NOT r(x, y) is unsafe: negation NOT r(x, y) has free "
+            "variables ['y'] not bound by any positive conjunct (conjunction "
+            "cannot be ordered; stuck conjuncts: (q(x) OR NOT r(x, y))) "
+            "[at AND[1] > OR[1] > NOT]",
+        ),
+    ]
+
+    @pytest.mark.parametrize("selective", [True, False])
+    @pytest.mark.parametrize("text, message", CASES)
+    def test_unsafe_messages(
+        self, text, message, selective, provider, monkeypatch
+    ):
+        from repro.core import foeval
+
+        monkeypatch.setattr(foeval, "SELECTIVE_PLANNING", selective)
+        f = normalize(parse(text))
+        for _ in range(2):  # compiled, then from the memo
+            with pytest.raises(UnsafeFormulaError) as raised:
+                evaluate(f, provider)
+            assert str(raised.value) == message
+
+    def test_non_kernel_nodes(self, provider):
+        from repro.core.formulas import Forall, Implies, Or
+
+        p, q = Atom("p", [Var("x")]), Atom("q", [Var("x")])
+        implies = Implies(p, q)
+        forall = Forall(["y"], Atom("r", [Var("x"), Var("y")]))
+        for formula, message in [
+            (
+                implies,
+                "cannot evaluate non-kernel node Implies: (p(x) -> q(x)) "
+                "— run normalize() first",
+            ),
+            (
+                And(p, implies),
+                "formula is not in kernel form (found Implies): "
+                "(p(x) -> q(x)) — run normalize() first",
+            ),
+            (
+                Or(p, forall),
+                "cannot evaluate non-kernel node Forall: "
+                "(FORALL y. r(x, y)) — run normalize() first",
+            ),
+        ]:
+            with pytest.raises(UnsafeFormulaError) as raised:
+                evaluate(formula, provider)
+            assert str(raised.value) == message
+
+    def test_nothing_raises_before_evaluation_reaches_the_node(self, provider):
+        from repro.core.foeval import compile_plan
+        from repro.core.formulas import Not, Or
+
+        class Failing(DictProvider):
+            def atom_table(self, atom):
+                if atom.relation == "p":
+                    raise KeyError("p")
+                return super().atom_table(atom)
+
+        # the second disjunct can never be evaluated, but the first is
+        # evaluated first: building is silent, and a provider failure
+        # in the first disjunct is what an evaluation reports
+        bad = Or(Atom("p", [Var("x")]), Not(Atom("q", [Var("x")])))
+        plan = compile_plan(bad, (), True)
+        with pytest.raises(KeyError):
+            plan(Failing(provider.contents), Table.nullary(True))
+        with pytest.raises(UnsafeFormulaError, match="negation NOT q"):
+            plan(provider, Table.nullary(True))
+        # and the formulas around it are none the worse
+        assert ev("p(x) AND q(x)", provider) == Table(("x",), [(2,)])
+
+    def test_a_provider_failure_while_ordering_propagates(self, provider):
+        class Broken(DictProvider):
+            def atom_table(self, atom):
+                if atom.relation == "q":
+                    raise KeyError(atom.relation)
+                return super().atom_table(atom)
+
+        # two candidate joins: their sizes are asked for before either
+        # is evaluated, and q's table cannot be had
+        with pytest.raises(KeyError):
+            ev("p(x) AND q(x)", Broken(provider.contents))
+
+
+class TestAgainstTheIndependentEvaluator:
+    """Seeded differential test: on safe formulas the compiled
+    evaluator and the active-domain evaluator (which shares no code
+    with it beyond the algebra) must agree, with and without a context.
+    """
+
+    VARIABLES = ("x", "y", "z")
+
+    def random_formula(self, rng, depth):
+        from repro.core.formulas import Comparison, Exists, Not, Once, Or
+
+        def term():
+            if rng.random() < 0.2:
+                return Const(rng.randrange(4))
+            return Var(rng.choice(self.VARIABLES))
+
+        def leaf():
+            kind = rng.random()
+            if kind < 0.3:
+                return Atom(rng.choice("pq"), [term()])
+            if kind < 0.6:
+                return Atom("r", [term(), term()])
+            if kind < 0.7:
+                return Once(Atom("p", [Var(rng.choice(self.VARIABLES))]))
+            return Comparison(
+                term(), rng.choice(["=", "!=", "<", "<=", ">", ">="]), term()
+            )
+
+        if depth == 0:
+            return leaf()
+        kind = rng.random()
+        if kind < 0.45:
+            return And(*(
+                self.random_formula(rng, depth - 1)
+                for _ in range(rng.randint(2, 4))
+            ))
+        if kind < 0.6:
+            return Or(*(
+                self.random_formula(rng, depth - 1) for _ in range(2)
+            ))
+        if kind < 0.75:
+            return Not(self.random_formula(rng, depth - 1))
+        if kind < 0.9:
+            inner = self.random_formula(rng, depth - 1)
+            if inner.free_vars:
+                return Exists([rng.choice(sorted(inner.free_vars))], inner)
+            return inner
+        return leaf()
+
+    def random_provider(self, rng):
+        def rows(arity):
+            return {
+                tuple(rng.randrange(4) for _ in range(arity))
+                for _ in range(rng.randrange(7))
+            }
+
+        contents = {"p": rows(1), "q": rows(1), "r": rows(2)}
+        held_once = rows(1)
+
+        class Provider(DictProvider):
+            def temporal_table(self, formula):
+                return Table(tuple(formula.free_vars), held_once)
+
+        return Provider(contents)
+
+    def test_compiled_evaluation_equals_active_domain_evaluation(self):
+        import random
+
+        from repro.core.adom import evaluate_adom
+        from repro.core.safety import analyze
+
+        rng = random.Random(20240607)
+        domain = frozenset(range(4))
+        checked = with_context = two_headers = 0
+        while checked < 400:
+            formula = normalize(self.random_formula(rng, rng.randint(1, 3)))
+            # a context may bind any variable no quantifier inside reuses
+            quantified = {
+                name for node in formula.walk()
+                for name in getattr(node, "variables", ())
+            }
+            free = [v for v in self.VARIABLES if v not in quantified]
+            headers = [()]
+            for _ in range(2):
+                names = rng.sample(free, min(len(free), rng.randint(1, 2)))
+                headers.append(tuple(names))
+            safe = [
+                header for header in headers
+                if analyze(formula, frozenset(header)) is not None
+            ]
+            if not safe:
+                continue
+            two_headers += len(set(safe)) > 1
+            provider = self.random_provider(rng)
+            reference = evaluate_adom(formula, provider, domain)
+            for header in safe:  # the same formula object each time
+                context = Table(header, {
+                    tuple(rng.randrange(4) for _ in header)
+                    for _ in range(rng.randrange(1, 6))
+                })
+                got = evaluate(formula, provider, context if header else None)
+                want = context.join(reference) if header else reference
+                assert got == want, f"{formula} under {header}"
+                assert set(got.columns) == set(header) | formula.free_vars
+                with_context += bool(header)
+            checked += 1
+        assert with_context > 100 and two_headers > 50
