@@ -133,12 +133,13 @@ class StateProvider(AtomProvider):
         effective delta; otherwise the delta is unknown, the tables are
         matched afresh and no leaf reports a delta for this step.
         """
-        before = self.state
-        self.state = state
         self.stamp = stamp = self.stamp + 1
         self._successor = successor
         if successor:
-            changes = state.delta_from(before)
+            changes = state.delta_from(self.state)
+            # only its delta was needed: let the previous state go
+            # before the atom tables grow their successors
+            self.state = state
             for name, atoms in self._atoms.items():
                 change = changes.get(name)
                 for cell, match in atoms:
@@ -152,6 +153,7 @@ class StateProvider(AtomProvider):
                     )
                     cell.delta = table.delta_from(previous)
         else:
+            self.state = state
             for name, atoms in self._atoms.items():
                 relation = state.relation(name)
                 for cell, _match in atoms:
