@@ -23,13 +23,13 @@ last and records violations.
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.active.engine import ActiveDatabase
 from repro.active.events import EventPattern
 from repro.active.rules import Rule
-from repro.core.checker import Constraint, reject_future_constraints
+from repro.core.checker import Constraint
+from repro.core.engine import Engine
 from repro.core.foeval import AtomProvider, evaluate, relation_atom_table
 from repro.core.formulas import Atom, Formula, Once, Prev, Since
 from repro.core.statespace import (
@@ -37,16 +37,14 @@ from repro.core.statespace import (
     deep_size,
     profile_totals,
 )
-from repro.core.violations import RunReport, StepReport, Violation
+from repro.core.violations import StepReport
 from repro.db.algebra import Table
 from repro.db.database import DatabaseState
-from repro.db.relation import Relation
 from repro.db.schema import DatabaseSchema, RelationSchema
 from repro.db.transactions import Transaction
 from repro.db.types import Domain
 from repro.errors import MonitorError
 from repro.temporal.clock import Timestamp
-from repro.temporal.stream import UpdateStream
 
 CHECK_PRIORITY = 10_000
 META_TABLE = "auxmeta"
@@ -105,7 +103,7 @@ class _ActiveProvider(AtomProvider):
         return self.checker._virtual_table(formula)
 
 
-class ActiveChecker:
+class ActiveChecker(Engine):
     """Constraint checking via ECA rules over the active database.
 
     Exposes the same stepping API as
@@ -122,13 +120,8 @@ class ActiveChecker:
         initial: Optional[DatabaseState] = None,
         instrumentation=None,
     ):
+        super().__init__(schema, constraints, instrumentation)
         self.user_schema = schema
-        self.constraints = list(constraints)
-        for c in self.constraints:
-            c.validate_schema(schema)
-        reject_future_constraints(self.constraints, "active")
-        #: hook sink (None = disabled; see repro.obs.instrument)
-        self.instrumentation = instrumentation
 
         # assign one plan per structurally distinct temporal node,
         # registered bottom-up (post-order per constraint)
@@ -138,15 +131,17 @@ class ActiveChecker:
                 if node not in self._plans:
                     self._plans[node] = _NodePlan(len(self._plans), node)
 
+        base = self._base_state(initial)
         self.schema = self._extend_schema(schema)
-        base = self._lift_state(initial)
-        self.engine = ActiveDatabase(self.schema, initial=base)
+        self.engine = ActiveDatabase(
+            self.schema, initial=self._lift_state(base)
+        )
         # rule firings reported under this checker's engine label
         self.engine.instrumentation = instrumentation
         self.engine.instrumentation_label = self.engine_label
         self._register_rules()
-        self._index = -1
-        self._step_violations: List[Violation] = []
+        # the report the check rule left during the step's commit
+        self._report = StepReport(0, -1, [])
         # telemetry attribution: each constraint's node plans
         self._constraint_plans = {
             c.name: tuple(
@@ -187,13 +182,7 @@ class ActiveChecker:
                 )
         return schema.extended(*extra)
 
-    def _lift_state(
-        self, initial: Optional[DatabaseState]
-    ) -> DatabaseState:
-        if initial is None:
-            return DatabaseState.empty(self.schema)
-        if initial.schema != self.user_schema:
-            raise MonitorError("initial state does not match schema")
+    def _lift_state(self, initial: DatabaseState) -> DatabaseState:
         contents = {
             rel.name: rel.rows for rel in initial if rel.rows
         }
@@ -358,76 +347,34 @@ class ActiveChecker:
         )
 
     def _check_action(self, engine: ActiveDatabase, event) -> None:
-        provider = _ActiveProvider(self)
-        obs = self.instrumentation
-        violations: List[Violation] = []
-        for c in self.constraints:
-            if obs is not None:
-                started = perf_counter()
-                witnesses = evaluate(c.violation_formula, provider)
-                obs.constraint_checked(
-                    self.engine_label,
-                    c.name,
-                    perf_counter() - started,
-                    0 if witnesses.is_empty else max(1, len(witnesses)),
-                    self._plan_tuples(self._constraint_plans[c.name]),
-                )
-            else:
-                witnesses = evaluate(c.violation_formula, provider)
-            if not witnesses.is_empty:
-                violations.append(
-                    Violation(c.name, event.time, self._index, witnesses)
-                )
-        self._step_violations = violations
+        # the rule fires inside the commit, before the step is counted
+        self._report = self._check_constraints(event.time, self._index + 1)
+
+    def _witnesses(self, position: int, constraint: Constraint) -> Table:
+        return evaluate(constraint.violation_formula, _ActiveProvider(self))
+
+    def _constraint_tuples(self, constraint: Constraint) -> int:
+        return self._plan_tuples(self._constraint_plans[constraint.name])
 
     # ------------------------------------------------------------------
-    # stepping API (mirrors IncrementalChecker)
+    # the step (template: repro.core.engine.Engine)
     # ------------------------------------------------------------------
 
-    @property
-    def now(self) -> Optional[Timestamp]:
-        """Time of the last processed state (None before any)."""
-        return self.engine.now
-
-    @property
-    def steps_processed(self) -> int:
-        """Number of states processed so far."""
-        return self._index + 1
-
-    def step(self, time: Timestamp, txn: Transaction) -> StepReport:
-        """Commit ``txn`` at ``time``; rules maintain aux tables and check."""
+    def _apply(
+        self,
+        time: Timestamp,
+        txn: Optional[Transaction],
+        state: Optional[DatabaseState],
+    ) -> bool:
+        assert txn is not None  # step_state derives a transaction
         txn.validate(self.user_schema)  # users may not touch aux tables
-        self._index += 1
-        self._step_violations = []
-        obs = self.instrumentation
-        if obs is None:
-            try:
-                self.engine.commit(time, txn)
-            except Exception:
-                # a rejected commit (e.g. clock fault) must not consume
-                # a step index — skip-policy monitors rely on indices
-                # advancing only for applied steps
-                self._index -= 1
-                self._step_violations = []
-                raise
-            return StepReport(time, self._index, self._step_violations)
-        started = perf_counter()
-        obs.step_begin(self.engine_label, time, txn.size)
-        try:
-            self.engine.commit(time, txn)
-        except Exception:
-            self._index -= 1
-            self._step_violations = []
-            raise
-        report = StepReport(time, self._index, self._step_violations)
-        obs.step_end(
-            self.engine_label,
-            time,
-            perf_counter() - started,
-            len(report.violations),
-            self.aux_tuple_count(),
-        )
-        return report
+        # rules maintain the aux tables and check, all inside the
+        # commit: there is no separate apply phase to report
+        self.engine.commit(time, txn)
+        return False
+
+    def _verdict(self, time: Timestamp) -> StepReport:
+        return self._report
 
     def step_state(self, time: Timestamp, state: DatabaseState) -> StepReport:
         """Like :meth:`step` with the successor user state given directly."""
@@ -444,30 +391,16 @@ class ActiveChecker:
         base = DatabaseState.from_rows(self.user_schema, current)
         return self.step(time, base.diff(target))
 
-    def run(self, stream: Union[UpdateStream, Sequence]) -> RunReport:
-        """Process a whole update stream; return the aggregate report."""
-        report = RunReport()
-        for time, txn in stream:
-            report.add(self.step(time, txn))
-        return report
-
     # ------------------------------------------------------------------
     # instrumentation
     # ------------------------------------------------------------------
 
-    def _plan_tuples(self, plans: Sequence[_NodePlan]) -> int:
-        state = self.engine.state
-        total = 0
-        for plan in plans:
-            if isinstance(plan.node, Prev):
-                total += state.relation(plan.prev_operand_table).cardinality
-            else:
-                total += state.relation(plan.aux_table).cardinality
-        return total
+    def _plan_tuples(self, plans: Iterable[_NodePlan]) -> int:
+        return sum(len(self._plan_rows(plan)) for plan in plans)
 
     def aux_tuple_count(self) -> int:
         """Stored auxiliary rows (anchors + PREV carry-over tables)."""
-        return self._plan_tuples(list(self._plans.values()))
+        return self._plan_tuples(self._plans.values())
 
     def _plan_rows(self, plan: _NodePlan) -> frozenset:
         """Stored rows of a plan's space-bearing table.
@@ -481,17 +414,19 @@ class ActiveChecker:
             return state.relation(plan.prev_operand_table).rows
         return state.relation(plan.aux_table).rows
 
+    def _plan_valuations(self, plan: _NodePlan, rows: frozenset) -> int:
+        """Distinct valuations among a plan's stored ``rows``."""
+        if isinstance(plan.node, Prev):
+            return len(rows)
+        k = len(plan.variables)
+        return len({r[:k] for r in rows})
+
     def aux_valuation_count(self) -> int:
         """Total distinct valuations across all auxiliary tables."""
-        total = 0
-        for plan in self._plans.values():
-            rows = self._plan_rows(plan)
-            if isinstance(plan.node, Prev):
-                total += len(rows)
-            else:
-                k = len(plan.variables)
-                total += len({r[:k] for r in rows})
-        return total
+        return sum(
+            self._plan_valuations(plan, self._plan_rows(plan))
+            for plan in self._plans.values()
+        )
 
     def aux_profile(self) -> Dict[str, int]:
         """Per-temporal-subformula stored-row counts (stable keys)."""
@@ -519,18 +454,10 @@ class ActiveChecker:
         counts: Dict[str, Tuple[int, int]] = {}
         for node, plan in self._plans.items():
             rows = self._plan_rows(plan)
-            if isinstance(node, Prev):
-                counts[labels[node]] = (len(rows), len(rows))
-            else:
-                k = len(plan.variables)
-                counts[labels[node]] = (
-                    len(rows), len({r[:k] for r in rows})
-                )
+            counts[labels[node]] = (
+                len(rows), self._plan_valuations(plan, rows)
+            )
         return counts
-
-    def space_tuples(self) -> int:
-        """Uniform space hook (stored tuples); every engine has one."""
-        return self.aux_tuple_count()
 
     def iter_state_valuations(self):
         """Yield ``(node label, valuation, stored rows)`` triples."""
@@ -563,15 +490,13 @@ class ActiveChecker:
             rows = self._plan_rows(plan)
             if isinstance(plan.node, Prev):
                 oldest = self._meta_last_time(plan) if rows else None
-                valuations = len(rows)
             else:
                 k = len(plan.variables)
                 oldest = min((r[k] for r in rows), default=None)
-                valuations = len({r[:k] for r in rows})
             nodes[str(plan.node)] = {
                 "kind": type(plan.node).__name__,
                 "tuples": len(rows),
-                "valuations": valuations,
+                "valuations": self._plan_valuations(plan, rows),
                 "bytes": deep_size(rows) if deep else None,
                 "oldest": oldest,
                 "constraints": sorted(shared.get(plan.node, [])),

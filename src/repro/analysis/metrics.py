@@ -21,24 +21,18 @@ from repro.core.violations import RunReport
 def space_of(checker) -> int:
     """The checker's current stored-tuple count, engine-agnostic.
 
-    Every engine (and :class:`~repro.core.monitor.Monitor`, via its
-    built checker) exposes the uniform ``space_tuples()`` hook; the
-    legacy per-engine method names are probed as a fallback so
-    third-party checkers that predate the hook stay measurable.
+    Every engine exposes the uniform ``space_tuples()`` hook (see
+    :class:`~repro.core.engine.Engine`); a
+    :class:`~repro.core.monitor.Monitor` façade is measured through its
+    built checker.
     """
-    probe = getattr(checker, "space_tuples", None)
+    # a Monitor façade measures its underlying engine
+    probe = getattr(
+        getattr(checker, "checker", checker), "space_tuples", None
+    )
     if probe is None:
-        # a Monitor façade measures its underlying engine
-        inner = getattr(checker, "checker", None)
-        if inner is not None:
-            probe = getattr(inner, "space_tuples", None)
-    if probe is not None:
-        return probe()
-    for legacy in ("aux_tuple_count", "stored_tuples"):
-        method = getattr(checker, legacy, None)
-        if method is not None:
-            return method()
-    raise TypeError(f"cannot measure space of {type(checker).__name__}")
+        raise TypeError(f"cannot measure space of {type(checker).__name__}")
+    return probe()
 
 
 class RunMetrics:

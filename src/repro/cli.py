@@ -148,20 +148,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--history", required=True, help="JSONL update stream"
     )
     check.add_argument(
-        "--engine", choices=ENGINES, default="incremental",
-        help="checking engine (default: incremental)",
-    )
-    check.add_argument(
         "--share-subformulas", action="store_true",
         help="maintain rename-equivalent temporal subformulas once "
              "across constraints (incremental engine only)",
-    )
-    check.add_argument(
-        "--max-violations", type=int, default=20,
-        help="stop printing after this many violations",
-    )
-    check.add_argument(
-        "--quiet", action="store_true", help="exit status only"
     )
     check.add_argument(
         "--resume-from", default=None,
@@ -174,24 +163,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
              "(incremental engine only)",
     )
     check.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="write a structured JSONL span trace of the run",
-    )
-    check.add_argument(
-        "--metrics", default=None, metavar="FILE",
-        help="write a metrics dump (Prometheus text; JSON if the "
-             "file ends in .json)",
-    )
-    check.add_argument(
         "--fault-policy", default=None,
         choices=("fail_fast", "skip", "quarantine"),
         help="what to do with faulty stream records (default: "
              "fail_fast, i.e. abort on the first fault)",
-    )
-    check.add_argument(
-        "--quarantine-log", default=None, metavar="FILE",
-        help="dead-letter JSONL file for quarantined records "
-             "(implies --fault-policy quarantine)",
     )
     check.add_argument(
         "--step-deadline", type=float, default=None, metavar="SECONDS",
@@ -227,50 +202,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="disorder bound, in clock units, for --tolerate-disorder "
              "(giving it implies the flag; default: 0)",
     )
-    check.add_argument(
-        "--max-lateness", type=int, default=None, metavar="L",
-        help="refuse salvageable events trailing the watermark "
-             "frontier by more than L (default: salvage whenever "
-             "order allows)",
-    )
-    check.add_argument(
-        "--retry", type=int, default=None, metavar="N",
-        help="retry budget for transiently unavailable sources "
-             "(capped jittered exponential backoff)",
-    )
-    check.add_argument(
-        "--skew", action="append", default=None, metavar="NAME=DELTA",
-        help="per-source clock offset subtracted on arrival "
-             "(repeatable)",
-    )
-    check.add_argument(
-        "--slo", default=None, metavar="FILE",
-        help="SLO spec file (repro-slo/1 JSON); enables event-time "
-             "telemetry, evaluates burn-rate alert rules during the "
-             "run, and prints fired alerts and budget state",
-    )
-    check.add_argument(
-        "--health", default=None, metavar="FILE",
-        help="write a mergeable health snapshot (repro-health/1 JSON) "
-             "after the run; enables event-time telemetry",
-    )
-    check.add_argument(
-        "--statewatch", action="store_true",
-        help="enable the state observatory: per-subformula auxiliary "
-             "state accounting with bound-conformance and leak alerts "
-             "printed after the run",
-    )
-    check.add_argument(
-        "--flight", default=None, metavar="FILE",
-        help="flight-recorder artifact path (repro-flight/1 JSONL), "
-             "dumped on violation, fault, or budget exhaustion "
-             "(implies --statewatch)",
-    )
-    check.add_argument(
-        "--state-out", default=None, metavar="FILE",
-        help="write the final state snapshot (repro-state/1 JSON) "
-             "after the run (implies --statewatch)",
-    )
 
     ingest = commands.add_parser(
         "ingest",
@@ -289,27 +220,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
              "\"source\" tag, untagged ones get NAME (repeatable)",
     )
     ingest.add_argument(
-        "--engine", choices=ENGINES, default="incremental",
-        help="checking engine (default: incremental)",
-    )
-    ingest.add_argument(
         "--watermark", type=int, default=0, metavar="W",
         help="disorder bound, in clock units (default: 0 — arrivals "
              "expected in order)",
-    )
-    ingest.add_argument(
-        "--max-lateness", type=int, default=None, metavar="L",
-        help="refuse salvageable events trailing the frontier by "
-             "more than L",
-    )
-    ingest.add_argument(
-        "--skew", action="append", default=None, metavar="NAME=DELTA",
-        help="per-source clock offset subtracted on arrival "
-             "(repeatable)",
-    )
-    ingest.add_argument(
-        "--retry", type=int, default=None, metavar="N",
-        help="retry budget for transiently unavailable sources",
     )
     ingest.add_argument(
         "--queue-capacity", type=int, default=1024, metavar="N",
@@ -326,52 +239,79 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="step-boundary fault policy for records that clear "
              "ingest but fail checking (default: quarantine)",
     )
-    ingest.add_argument(
-        "--quarantine-log", default=None, metavar="FILE",
-        help="dead-letter JSONL file for excluded arrivals and "
-             "quarantined records",
-    )
-    ingest.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="write a structured JSONL span trace of the run",
-    )
-    ingest.add_argument(
-        "--metrics", default=None, metavar="FILE",
-        help="write a metrics dump (Prometheus text; JSON if the "
-             "file ends in .json)",
-    )
-    ingest.add_argument(
-        "--slo", default=None, metavar="FILE",
-        help="SLO spec file (repro-slo/1 JSON); enables event-time "
-             "telemetry and burn-rate alerts",
-    )
-    ingest.add_argument(
-        "--health", default=None, metavar="FILE",
-        help="write a mergeable health snapshot (repro-health/1 JSON) "
-             "after the run; enables event-time telemetry",
-    )
-    ingest.add_argument(
-        "--statewatch", action="store_true",
-        help="enable the state observatory (see 'check --statewatch')",
-    )
-    ingest.add_argument(
-        "--flight", default=None, metavar="FILE",
-        help="flight-recorder artifact path (implies --statewatch)",
-    )
-    ingest.add_argument(
-        "--state-out", default=None, metavar="FILE",
-        help="write the final state snapshot (repro-state/1 JSON) "
-             "after the run (implies --statewatch)",
-    )
-    ingest.add_argument(
-        "--max-violations", type=int, default=20,
-        help="stop printing after this many violations",
-    )
-    ingest.add_argument(
-        "--quiet", action="store_true", help="exit status only"
-    )
 
+    # what `check` and `ingest` share is declared once
     for sub in (check, ingest):
+        sub.add_argument(
+            "--engine", choices=ENGINES, default="incremental",
+            help="checking engine (default: incremental)",
+        )
+        sub.add_argument(
+            "--max-lateness", type=int, default=None, metavar="L",
+            help="refuse salvageable events trailing the watermark "
+                 "frontier by more than L (default: salvage whenever "
+                 "order allows)",
+        )
+        sub.add_argument(
+            "--retry", type=int, default=None, metavar="N",
+            help="retry budget for transiently unavailable sources "
+                 "(capped jittered exponential backoff)",
+        )
+        sub.add_argument(
+            "--skew", action="append", default=None, metavar="NAME=DELTA",
+            help="per-source clock offset subtracted on arrival "
+                 "(repeatable)",
+        )
+        sub.add_argument(
+            "--trace", default=None, metavar="FILE",
+            help="write a structured JSONL span trace of the run",
+        )
+        sub.add_argument(
+            "--metrics", default=None, metavar="FILE",
+            help="write a metrics dump (Prometheus text; JSON if the "
+                 "file ends in .json)",
+        )
+        sub.add_argument(
+            "--quarantine-log", default=None, metavar="FILE",
+            help="dead-letter JSONL file for quarantined records and "
+                 "excluded arrivals (for 'check', implies "
+                 "--fault-policy quarantine)",
+        )
+        sub.add_argument(
+            "--slo", default=None, metavar="FILE",
+            help="SLO spec file (repro-slo/1 JSON); enables event-time "
+                 "telemetry, evaluates burn-rate alert rules during the "
+                 "run, and prints fired alerts and budget state",
+        )
+        sub.add_argument(
+            "--health", default=None, metavar="FILE",
+            help="write a mergeable health snapshot (repro-health/1 JSON) "
+                 "after the run; enables event-time telemetry",
+        )
+        sub.add_argument(
+            "--statewatch", action="store_true",
+            help="enable the state observatory: per-subformula auxiliary "
+                 "state accounting with bound-conformance and leak alerts "
+                 "printed after the run",
+        )
+        sub.add_argument(
+            "--flight", default=None, metavar="FILE",
+            help="flight-recorder artifact path (repro-flight/1 JSONL), "
+                 "dumped on violation, fault, or budget exhaustion "
+                 "(implies --statewatch)",
+        )
+        sub.add_argument(
+            "--state-out", default=None, metavar="FILE",
+            help="write the final state snapshot (repro-state/1 JSON) "
+                 "after the run (implies --statewatch)",
+        )
+        sub.add_argument(
+            "--max-violations", type=int, default=20,
+            help="stop printing after this many violations",
+        )
+        sub.add_argument(
+            "--quiet", action="store_true", help="exit status only"
+        )
         sub.add_argument(
             "--shards", type=int, default=None, metavar="N",
             help="partition the run across N supervised shard workers "
@@ -811,7 +751,7 @@ def _parse_shard_chaos(spec: str, shards: int, steps: int):
     return plan_shard_chaos(shards, steps, **values)
 
 
-def _check_shard_flags(args, tolerant: bool = False) -> None:
+def _check_shard_flags(args) -> None:
     """Reject flag combinations the sharded path cannot honour."""
     if args.shards < 1:
         raise ReproError(f"--shards must be >= 1, got {args.shards}")
@@ -895,79 +835,13 @@ def _print_shard_summary(monitor) -> None:
 
 
 def _write_sharded_health(monitor, args) -> None:
-    if not getattr(args, "health", None):
+    if not args.health:
         return
     import json as _json
 
     path = Path(args.health)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_json.dumps(monitor.health(), indent=2, sort_keys=True))
-
-
-def _command_check_sharded(args: argparse.Namespace) -> int:
-    tolerant = bool(
-        args.tolerate_disorder
-        or args.watermark is not None
-        or args.max_lateness is not None
-        or args.skew
-        or args.retry is not None
-    )
-    if tolerant:
-        raise ReproError(
-            "--shards does not combine with the disorder-tolerant "
-            "check flags; use 'ingest --shards' for unordered feeds"
-        )
-    if not args.schema or not args.constraints:
-        raise ReproError("--shards requires --schema and --constraints")
-    _check_shard_flags(args)
-    if args.shard_chaos and args.fault_policy is None:
-        # chaos without a policy would raise on the first tombstone
-        # alert; quarantine keeps the degraded-mode ledger visible
-        args.fault_policy = "quarantine"
-    schema = load_schema(args.schema)
-    if not args.no_lint:
-        lint_report = _lint_constraint_file(
-            args.constraints, schema=schema,
-            urgent=args.urgent or (),
-            journal=bool(args.journal),
-            checkpoint_every=args.checkpoint_every,
-        )
-        if lint_report and not args.quiet:
-            print(f"lint ({len(lint_report)} diagnostic(s)):")
-            print(lint_report.render_text())
-    _require_file(args.history, "--history")
-    stream = list(load_stream(args.history))
-    monitor, registry = _build_sharded_monitor(
-        args, schema, steps=len(stream), journal_root=args.journal
-    )
-    try:
-        report = monitor.run(stream)
-    finally:
-        monitor.close()
-        if (
-            monitor.resilience is not None
-            and monitor.resilience.quarantine is not None
-        ):
-            monitor.resilience.quarantine.close()
-    if registry is not None:
-        from repro.obs import write_metrics
-
-        write_metrics(registry, args.metrics)
-    _write_sharded_health(monitor, args)
-    if args.quiet:
-        return 0 if report.ok else 1
-    print(
-        f"checked {len(report)} states with "
-        f"{len(monitor.constraints)} constraint(s) "
-        f"[sharded x{args.shards}, key: {args.shard_key}]"
-    )
-    _print_shard_summary(monitor)
-    _print_resilience_summary(monitor, args.quarantine_log)
-    if report.ok:
-        print("no violations")
-        return 0
-    _print_violations(report, args.max_violations)
-    return 1
 
 
 def _run_monitor_stream(monitor: Monitor, history):
@@ -1025,23 +899,17 @@ def _print_resilience_summary(monitor: Monitor, quarantine_path) -> None:
 
 def _enable_cli_telemetry(monitor: Monitor, args) -> None:
     """Arm event-time telemetry when ``--slo``/``--health`` ask for it."""
-    slo = getattr(args, "slo", None)
-    if slo is None and getattr(args, "health", None) is None:
+    if args.slo is None and args.health is None:
         return
-    if slo is not None:
-        _require_file(slo, "--slo")
-    monitor.enable_telemetry(slo=slo)
+    if args.slo is not None:
+        _require_file(args.slo, "--slo")
+    monitor.enable_telemetry(slo=args.slo)
 
 
 def _enable_cli_statewatch(monitor: Monitor, args) -> None:
     """Arm the state observatory for ``--statewatch/--flight``."""
-    if not (
-        getattr(args, "statewatch", False)
-        or getattr(args, "flight", None)
-        or getattr(args, "state_out", None)
-    ):
-        return
-    monitor.enable_statewatch(flight=getattr(args, "flight", None))
+    if args.statewatch or args.flight or args.state_out:
+        monitor.enable_statewatch(flight=args.flight)
 
 
 def _print_state_summary(monitor: Monitor, flight_path=None) -> None:
@@ -1082,25 +950,25 @@ def _print_state_summary(monitor: Monitor, flight_path=None) -> None:
 
 
 def _write_state_snapshot(monitor: Monitor, args) -> None:
-    path = getattr(args, "state_out", None)
-    if not path:
+    if not args.state_out:
         return
     from repro.obs import write_state
 
     try:
-        write_state(monitor.statewatch.snapshot(monitor.checker), path)
+        write_state(
+            monitor.statewatch.snapshot(monitor.checker), args.state_out
+        )
     except OSError as exc:
         raise ReproError(f"cannot write state snapshot: {exc}") from exc
 
 
 def _write_health_snapshot(monitor: Monitor, args) -> None:
-    path = getattr(args, "health", None)
-    if not path:
+    if not args.health:
         return
     from repro.obs import write_health
 
     try:
-        write_health(monitor.health(), path)
+        write_health(monitor.health(), args.health)
     except OSError as exc:
         raise ReproError(f"cannot write health snapshot: {exc}") from exc
 
@@ -1381,9 +1249,8 @@ def _command_plan(args: argparse.Namespace) -> int:
 
 
 def _command_check(args: argparse.Namespace) -> int:
-    if args.shards is not None:
-        return _command_check_sharded(args)
-    if args.shard_key or args.shard_chaos:
+    sharded = args.shards is not None
+    if not sharded and (args.shard_key or args.shard_chaos):
         raise ReproError(
             "--shard-key/--shard-chaos require --shards"
         )
@@ -1394,22 +1261,31 @@ def _command_check(args: argparse.Namespace) -> int:
         or args.skew
         or args.retry is not None
     )
-    if tolerant and not args.fault_policy and not args.quarantine_log:
+    if sharded:
+        if tolerant:
+            raise ReproError(
+                "--shards does not combine with the disorder-tolerant "
+                "check flags; use 'ingest --shards' for unordered feeds"
+            )
+        if not args.schema or not args.constraints:
+            raise ReproError("--shards requires --schema and --constraints")
+        _check_shard_flags(args)
+        if args.shard_chaos and args.fault_policy is None:
+            # chaos without a policy would raise on the first tombstone
+            # alert; quarantine keeps the degraded-mode ledger visible
+            args.fault_policy = "quarantine"
+    elif tolerant and not args.fault_policy and not args.quarantine_log:
         # disorder tolerance is pointless if the first surviving fault
         # aborts the run; default the step boundary to quarantine too
         args.fault_policy = "quarantine"
-    instrumentation, tracer, registry = _build_instrumentation(args)
+    tracer = None
     if args.resume_from:
+        instrumentation, tracer, registry = _build_instrumentation(args)
         monitor = Monitor.resume(args.resume_from)
         monitor.instrument(instrumentation)
-        if args.fault_policy or args.quarantine_log:
-            monitor._configure_fault_policy(
-                args.fault_policy, args.quarantine_log
-            )
+        monitor.set_fault_policy(args.fault_policy, args.quarantine_log)
         if args.step_deadline is not None:
-            monitor._configure_deadline(
-                args.step_deadline, args.urgent or ()
-            )
+            monitor.set_step_deadline(args.step_deadline, args.urgent or ())
     else:
         if not args.schema or not args.constraints:
             raise ReproError(
@@ -1428,42 +1304,67 @@ def _command_check(args: argparse.Namespace) -> int:
             if lint_report and not args.quiet:
                 print(f"lint ({len(lint_report)} diagnostic(s)):")
                 print(lint_report.render_text())
-        monitor = Monitor(
-            schema,
-            engine=args.engine,
-            instrumentation=instrumentation,
-            fault_policy=args.fault_policy,
-            quarantine_log=args.quarantine_log,
-            step_deadline=args.step_deadline,
-            urgent=args.urgent or (),
-            share_subformulas=args.share_subformulas,
-        )
-        monitor.add_constraints_text(Path(args.constraints).read_text())
-    _enable_cli_telemetry(monitor, args)
-    _enable_cli_statewatch(monitor, args)
-    if args.journal:
-        monitor.enable_journal(
-            args.journal,
-            checkpoint_every=(
-                args.checkpoint_every
-                if args.checkpoint_every is not None else 64
-            ),
-        )
+        if sharded:
+            _require_file(args.history, "--history")
+            stream = list(load_stream(args.history))
+            monitor, registry = _build_sharded_monitor(
+                args, schema, steps=len(stream), journal_root=args.journal
+            )
+        else:
+            instrumentation, tracer, registry = _build_instrumentation(args)
+            monitor = Monitor(
+                schema,
+                engine=args.engine,
+                instrumentation=instrumentation,
+                fault_policy=args.fault_policy,
+                quarantine_log=args.quarantine_log,
+                step_deadline=args.step_deadline,
+                urgent=args.urgent or (),
+                share_subformulas=args.share_subformulas,
+            )
+            monitor.add_constraints_text(Path(args.constraints).read_text())
+    if not sharded:
+        _enable_cli_telemetry(monitor, args)
+        _enable_cli_statewatch(monitor, args)
+        if args.journal:
+            monitor.enable_journal(
+                args.journal,
+                checkpoint_every=(
+                    args.checkpoint_every
+                    if args.checkpoint_every is not None else 64
+                ),
+            )
     try:
-        if tolerant:
+        if sharded:
+            report = monitor.run(stream)
+        elif tolerant:
             report = _feed_history(monitor, args)
         else:
             report = _run_monitor_stream(monitor, args.history)
     finally:
-        if monitor.journal is not None:
-            monitor.journal.close()
-        if (
-            monitor.resilience is not None
-            and monitor.resilience.quarantine is not None
-        ):
-            monitor.resilience.quarantine.close()
+        _close_run(monitor)
     if args.save_checkpoint:
         monitor.save(args.save_checkpoint)
+    _write_run_outputs(monitor, args, tracer, registry)
+    return _report_run(monitor, args, report)
+
+
+def _close_run(monitor) -> None:
+    """Release what a finished (or failed) run holds open."""
+    if isinstance(monitor, Monitor):
+        if monitor.journal is not None:
+            monitor.journal.close()
+    else:
+        monitor.close()
+    if (
+        monitor.resilience is not None
+        and monitor.resilience.quarantine is not None
+    ):
+        monitor.resilience.quarantine.close()
+
+
+def _write_run_outputs(monitor, args, tracer, registry) -> None:
+    """The artefacts ``check``/``ingest`` write after the stream."""
     try:
         if tracer is not None:
             tracer.dump_jsonl(args.trace)
@@ -1473,103 +1374,18 @@ def _command_check(args: argparse.Namespace) -> int:
             write_metrics(registry, args.metrics)
     except OSError as exc:
         raise ReproError(f"cannot write telemetry: {exc}") from exc
-    _write_health_snapshot(monitor, args)
-    _write_state_snapshot(monitor, args)
-    if args.quiet:
-        return 0 if report.ok else 1
-    print(
-        f"checked {len(report)} states with "
-        f"{len(monitor.constraints)} constraint(s) "
-        f"[engine: {args.engine}]"
-    )
-    _print_ingest_summary(monitor, args.quarantine_log)
-    _print_resilience_summary(monitor, args.quarantine_log)
-    _print_slo_summary(monitor)
-    _print_state_summary(monitor, args.flight)
-    if report.ok:
-        print("no violations")
-        return 0
-    _print_violations(report, args.max_violations)
-    return 1
-
-
-def _command_ingest(args: argparse.Namespace) -> int:
-    from repro.db.storage import read_arrivals
-    from repro.ingest import IterableSource
-
-    sharded = args.shards is not None
-    if not sharded and (args.shard_key or args.shard_chaos):
-        raise ReproError(
-            "--shard-key/--shard-chaos require --shards"
-        )
-    schema = load_schema(args.schema)
-    tracer = None
-    if sharded:
-        args.fault_policy = args.fault_policy or "quarantine"
-        _check_shard_flags(args)
-        arrivals = 0
-        for index, spec in enumerate(args.source):
-            _, path = _parse_source_spec(spec, index)
-            _require_file(path, "--source")
-            with open(path) as fh:
-                arrivals += sum(1 for _ in fh)
-        monitor, registry = _build_sharded_monitor(
-            args, schema, steps=arrivals
-        )
-    else:
-        instrumentation, tracer, registry = _build_instrumentation(args)
-        monitor = Monitor(
-            schema,
-            engine=args.engine,
-            instrumentation=instrumentation,
-            fault_policy=args.fault_policy or "quarantine",
-            quarantine_log=args.quarantine_log,
-        )
-        monitor.add_constraints_text(Path(args.constraints).read_text())
-        _enable_cli_telemetry(monitor, args)
-        _enable_cli_statewatch(monitor, args)
-    sources = []
-    for index, spec in enumerate(args.source):
-        name, path = _parse_source_spec(spec, index)
-        _require_file(path, "--source")
-        sources.append(IterableSource(
-            read_arrivals(path, default_source=name),
-            name=name, multiplexed=True,
-        ))
-    try:
-        report = monitor.feed(
-            sources,
-            watermark=args.watermark,
-            max_lateness=args.max_lateness,
-            skew=_parse_skews(args.skew),
-            retry=args.retry,
-            queue_capacity=args.queue_capacity,
-            backpressure=args.backpressure,
-        )
-    finally:
-        if sharded:
-            monitor.close()
-        if (
-            monitor.resilience is not None
-            and monitor.resilience.quarantine is not None
-        ):
-            monitor.resilience.quarantine.close()
-    try:
-        if tracer is not None:
-            tracer.dump_jsonl(args.trace)
-        if registry is not None:
-            from repro.obs import write_metrics
-
-            write_metrics(registry, args.metrics)
-    except OSError as exc:
-        raise ReproError(f"cannot write telemetry: {exc}") from exc
-    if sharded:
-        _write_sharded_health(monitor, args)
-    else:
+    if isinstance(monitor, Monitor):
         _write_health_snapshot(monitor, args)
         _write_state_snapshot(monitor, args)
+    else:
+        _write_sharded_health(monitor, args)
+
+
+def _report_run(monitor, args, report) -> int:
+    """Print what ``check``/``ingest`` print; the exit status."""
     if args.quiet:
         return 0 if report.ok else 1
+    sharded = not isinstance(monitor, Monitor)
     engine_note = (
         f"sharded x{args.shards}, key: {args.shard_key}"
         if sharded else f"engine: {args.engine}"
@@ -1591,6 +1407,67 @@ def _command_ingest(args: argparse.Namespace) -> int:
         return 0
     _print_violations(report, args.max_violations)
     return 1
+
+
+def _command_ingest(args: argparse.Namespace) -> int:
+    from repro.db.storage import read_arrivals
+    from repro.ingest import IterableSource
+
+    sharded = args.shards is not None
+    if not sharded and (args.shard_key or args.shard_chaos):
+        raise ReproError(
+            "--shard-key/--shard-chaos require --shards"
+        )
+    schema = load_schema(args.schema)
+    tracer = None
+    feeds = [
+        _parse_source_spec(spec, index)
+        for index, spec in enumerate(args.source)
+    ]
+    if sharded:
+        args.fault_policy = args.fault_policy or "quarantine"
+        _check_shard_flags(args)
+        arrivals = 0
+        for _, path in feeds:
+            _require_file(path, "--source")
+            with open(path) as fh:
+                arrivals += sum(1 for _ in fh)
+        monitor, registry = _build_sharded_monitor(
+            args, schema, steps=arrivals
+        )
+    else:
+        instrumentation, tracer, registry = _build_instrumentation(args)
+        monitor = Monitor(
+            schema,
+            engine=args.engine,
+            instrumentation=instrumentation,
+            fault_policy=args.fault_policy or "quarantine",
+            quarantine_log=args.quarantine_log,
+        )
+        monitor.add_constraints_text(Path(args.constraints).read_text())
+        _enable_cli_telemetry(monitor, args)
+        _enable_cli_statewatch(monitor, args)
+    sources = []
+    for name, path in feeds:
+        _require_file(path, "--source")
+        sources.append(IterableSource(
+            read_arrivals(path, default_source=name),
+            name=name, multiplexed=True,
+        ))
+    try:
+        report = monitor.feed(
+            sources,
+            watermark=args.watermark,
+            max_lateness=args.max_lateness,
+            skew=_parse_skews(args.skew),
+            retry=args.retry,
+            queue_capacity=args.queue_capacity,
+            backpressure=args.backpressure,
+        )
+    finally:
+        _close_run(monitor)
+    _write_run_outputs(monitor, args, tracer, registry)
+    return _report_run(monitor, args, report)
 
 
 def _command_health(args: argparse.Namespace) -> int:
@@ -1757,8 +1634,7 @@ def _command_state(args: argparse.Namespace) -> int:
 
 def _command_recover(args: argparse.Namespace) -> int:
     monitor, result = Monitor.recover(args.journal)
-    if args.fault_policy:
-        monitor._configure_fault_policy(args.fault_policy, None)
+    monitor.set_fault_policy(args.fault_policy)
     if not args.quiet:
         print(
             f"recovered from {args.journal}: checkpoint at "

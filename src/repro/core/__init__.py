@@ -23,6 +23,7 @@ from repro.core.bounds import (
 )
 from repro.core.checker import Constraint, IncrementalChecker
 from repro.core.diagnose import diagnose
+from repro.core.engine import Engine
 from repro.core.explain import describe_encoding, explain
 from repro.core.future import DelayedChecker
 from repro.core.formulas import (
@@ -50,7 +51,7 @@ from repro.core.formulas import (
     Var,
 )
 from repro.core.intervals import Interval
-from repro.core.monitor import Monitor
+from repro.core.monitor import Monitor, MonitorFacade
 from repro.core.naive import NaiveChecker
 from repro.core.normalize import normalize, rename_apart
 from repro.core.optimize import optimize
@@ -71,6 +72,7 @@ __all__ = [
     "Const",
     "Constraint",
     "DelayedChecker",
+    "Engine",
     "Eventually",
     "Exists",
     "Forall",
@@ -83,6 +85,7 @@ __all__ = [
     "IncrementalChecker",
     "Interval",
     "Monitor",
+    "MonitorFacade",
     "NaiveChecker",
     "Next",
     "Not",

@@ -37,12 +37,11 @@ this engine trades efficiency for expressiveness, by design.
 from __future__ import annotations
 
 import itertools
-from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.core.auxiliary import AuxiliaryState, make_auxiliary
-from repro.core.checker import Constraint, reject_future_constraints
-from repro.core.statespace import AuxAccounting
+from repro.core.auxiliary import make_auxiliary
+from repro.core.checker import Constraint
+from repro.core.engine import Engine
 from repro.core.foeval import AtomProvider, relation_atom_table
 from repro.core.formulas import (
     Aggregate,
@@ -59,16 +58,15 @@ from repro.core.formulas import (
     Since,
     Var,
 )
-from repro.core.violations import RunReport, StepReport, Violation
+from repro.core.violations import StepReport
 from repro.db.algebra import Table
 from repro.db.database import DatabaseState
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
 from repro.db.types import Value
 from repro.errors import HistoryError, MonitorError, UnsafeFormulaError
-from repro.temporal.clock import Timestamp, validate_successor
+from repro.temporal.clock import Timestamp
 from repro.temporal.history import History
-from repro.temporal.stream import UpdateStream
 
 
 def formula_constants(formula: Formula) -> FrozenSet[Value]:
@@ -328,7 +326,7 @@ class _AdomStateProvider(AtomProvider):
             ) from None
 
 
-class ActiveDomainChecker(AuxAccounting):
+class ActiveDomainChecker(Engine):
     """Incremental checking under prefix-active-domain semantics.
 
     Same stepping API as
@@ -340,10 +338,6 @@ class ActiveDomainChecker(AuxAccounting):
     #: engine label used in telemetry series and by ``space_of``
     engine_label = "adom"
 
-    #: optional per-step :class:`~repro.resilience.degrade.StepBudget`
-    #: (set by the monitor; ``None`` keeps the hot path budget-free)
-    budget = None
-
     def __init__(
         self,
         schema: DatabaseSchema,
@@ -351,82 +345,28 @@ class ActiveDomainChecker(AuxAccounting):
         initial: Optional[DatabaseState] = None,
         instrumentation=None,
     ):
-        self.schema = schema
-        self.constraints = list(constraints)
+        super().__init__(schema, constraints, instrumentation)
         for c in self.constraints:
-            c.validate_schema(schema)
             check_adom_compatible(c.violation_formula)
-        reject_future_constraints(self.constraints, "adom")
-        #: hook sink (None = disabled; see repro.obs.instrument)
-        self.instrumentation = instrumentation
-        self.state = (
-            initial if initial is not None else DatabaseState.empty(schema)
-        )
-        if self.state.schema != schema:
-            raise MonitorError("initial state does not match schema")
+        self.state = self._base_state(initial)
         self.domain: Set[Value] = set(self.state.active_domain())
         for c in self.constraints:
             self.domain |= formula_constants(c.violation_formula)
-        self._aux: Dict[Formula, AuxiliaryState] = {}
         for c in self.constraints:
             for node in c.violation_formula.temporal_subformulas():
                 if node not in self._aux:
                     self._aux[node] = make_auxiliary(node)
-        self._time: Optional[Timestamp] = None
-        self._index = -1
+        self._node_labels = {node: str(node) for node in self._aux}
+        self._schedule = [
+            (aux, self._evaluate_now, self._node_labels[node], node)
+            for node, aux in self._aux.items()
+        ]
+        self._attribute_aux(self._aux)
         #: virtual tables of the most recent step (for diagnose())
         self._last_virtual: Dict[Formula, Table] = {}
-        # telemetry attribution (see IncrementalChecker)
-        self._constraint_aux = {
-            c.name: tuple(
-                {
-                    node: self._aux[node]
-                    for node in c.violation_formula.temporal_subformulas()
-                }.values()
-            )
-            for c in self.constraints
-        }
-        self._node_labels = {node: str(node) for node in self._aux}
-
-    @property
-    def now(self) -> Optional[Timestamp]:
-        """Timestamp of the last processed state (None before any)."""
-        return self._time
-
-    @property
-    def steps_processed(self) -> int:
-        """Number of states processed so far."""
-        return self._index + 1
-
-    def step(self, time: Timestamp, txn: Transaction) -> StepReport:
-        """Apply ``txn`` at ``time`` and check all constraints."""
-        validate_successor(self._time, time)
-        if self.budget is not None:
-            self.budget.arm()
-        obs = self.instrumentation
-        if obs is not None:
-            started = perf_counter()
-            obs.step_begin(self.engine_label, time, txn.size)
-        self.state = self.state.apply(txn)
-        for rows in txn.inserts.values():
-            for row in rows:
-                self.domain.update(row)
-        if obs is not None:
-            obs.apply_done(
-                self.engine_label, time, perf_counter() - started
-            )
-        self._time = time
-        self._index += 1
-        report = self._check_current()
-        if obs is not None:
-            obs.step_end(
-                self.engine_label,
-                time,
-                perf_counter() - started,
-                len(report.violations),
-                self.aux_tuple_count(),
-            )
-        return report
+        # the most recent step's provider and (frozen) domain
+        self._provider = _AdomStateProvider(self.state, self._last_virtual)
+        self._domain_now: FrozenSet[Value] = frozenset(self.domain)
 
     def step_state(self, time: Timestamp, state: DatabaseState) -> StepReport:
         """Like :meth:`step`, but with the successor state given directly."""
@@ -434,81 +374,44 @@ class ActiveDomainChecker(AuxAccounting):
             raise MonitorError("state does not match checker schema")
         return self.step(time, self.state.diff(state))
 
-    def run(self, stream: Union[UpdateStream, Sequence]) -> RunReport:
-        """Process a whole update stream; return the aggregate report."""
-        report = RunReport()
-        for time, txn in stream:
-            report.add(self.step(time, txn))
-        return report
+    def _apply(
+        self,
+        time: Timestamp,
+        txn: Optional[Transaction],
+        state: Optional[DatabaseState],
+    ) -> bool:
+        assert txn is not None  # step_state derives a transaction
+        self.state = self.state.apply(txn)
+        for rows in txn.inserts.values():
+            for row in rows:
+                self.domain.update(row)
+        return True
 
-    def _check_current(self) -> StepReport:
-        assert self._time is not None
-        time = self._time
-        domain = frozenset(self.domain)
-        virtual: Dict[Formula, Table] = {}
-        self._last_virtual = virtual  # retained for diagnose()
-        provider = _AdomStateProvider(self.state, virtual)
+    def _advance_auxiliary(self, time: Timestamp) -> None:
+        self._domain_now = frozenset(self.domain)
+        self._last_virtual = {}
+        self._provider = _AdomStateProvider(self.state, self._last_virtual)
+        super()._advance_auxiliary(time)
 
-        def evaluate_now(
-            formula: Formula, context: Optional[Table] = None
-        ) -> Table:
-            table = evaluate_adom(formula, provider, domain)
-            if context is None:
-                return table
-            return context.join(table)
+    def _evaluate_now(
+        self, formula: Formula, context: Optional[Table] = None
+    ) -> Table:
+        table = evaluate_adom(formula, self._provider, self._domain_now)
+        if context is None:
+            return table
+        return context.join(table)
 
-        obs = self.instrumentation
-        for node, aux in self._aux.items():
-            if obs is not None:
-                started = perf_counter()
-                virtual[node] = aux.advance(time, evaluate_now)
-                obs.aux_advanced(
-                    self.engine_label,
-                    self._node_labels[node],
-                    perf_counter() - started,
-                    aux.tuple_count(),
-                )
-            else:
-                virtual[node] = aux.advance(time, evaluate_now)
+    def _publish(self, node: Formula, table: Table) -> None:
+        self._last_virtual[node] = table
 
-        violations: List[Violation] = []
-        budget = self.budget
-        for c in self.constraints:
-            if budget is not None and budget.should_defer(c.name):
-                continue
-            if obs is not None:
-                started = perf_counter()
-                witnesses = evaluate_adom(
-                    c.violation_formula, provider, domain
-                )
-                obs.constraint_checked(
-                    self.engine_label,
-                    c.name,
-                    perf_counter() - started,
-                    0 if witnesses.is_empty else max(1, len(witnesses)),
-                    sum(
-                        a.tuple_count()
-                        for a in self._constraint_aux[c.name]
-                    ),
-                )
-            else:
-                witnesses = evaluate_adom(
-                    c.violation_formula, provider, domain
-                )
-            if not witnesses.is_empty:
-                violations.append(
-                    Violation(c.name, time, self._index, witnesses)
-                )
-        return StepReport(
-            time,
-            self._index,
-            violations,
-            deferred=tuple(budget.deferred) if budget is not None else (),
+    def _witnesses(self, position: int, constraint: Constraint) -> Table:
+        return evaluate_adom(
+            constraint.violation_formula, self._provider, self._domain_now
         )
 
-    # instrumentation: the uniform accounting protocol is inherited
-    # from repro.core.statespace.AuxAccounting; only the active-domain
-    # extras live here
+    # instrumentation: the uniform accounting protocol is inherited,
+    # through Engine, from repro.core.statespace.AuxAccounting; only the
+    # active-domain extras live here
 
     def domain_size(self) -> int:
         """Cumulative active-domain cardinality (grows monotonically)."""

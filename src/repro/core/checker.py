@@ -29,24 +29,21 @@ are exactly the violating valuations.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.auxiliary import AuxiliaryState, make_auxiliary
+from repro.core.engine import Engine
 from repro.core.formulas import Atom, Formula, Not, Since
 from repro.core.normalize import canonicalize_variant, normalize
 from repro.core.parser import parse
 from repro.core.safety import check_node_conditions, check_safe
-from repro.core.statespace import AuxAccounting
 from repro.core.views import StateProvider, View
-from repro.core.violations import RunReport, StepReport, Violation
 from repro.db.algebra import Table
 from repro.db.database import DatabaseState
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
-from repro.errors import MonitorError, SchemaError
-from repro.temporal.clock import Timestamp, validate_successor
-from repro.temporal.stream import UpdateStream
+from repro.errors import SchemaError
+from repro.temporal.clock import Timestamp
 
 
 class Constraint:
@@ -107,18 +104,6 @@ class Constraint:
         return f"Constraint({self.name!r}: {self.formula})"
 
 
-def reject_future_constraints(constraints, engine: str) -> None:
-    """Guard for pure-past engines: future operators need the delayed
-    checker, whose verdicts lag the input by the future horizon."""
-    for c in constraints:
-        if c.violation_formula.has_future:
-            raise MonitorError(
-                f"constraint {c.name!r} uses future temporal operators; "
-                f"the {engine} engine is pure-past — use "
-                f"repro.core.future.DelayedChecker"
-            )
-
-
 class _NodeEvaluator:
     """The ``evaluate_now`` one auxiliary state is advanced with: the
     state's operand comes from that operand's view.  Which operand is
@@ -147,15 +132,11 @@ class _NodeEvaluator:
         return view.refresh(self.provider, context)
 
 
-class IncrementalChecker(AuxAccounting):
+class IncrementalChecker(Engine):
     """Checks constraints over an update stream in bounded space."""
 
     #: engine label used in telemetry series and by ``space_of``
     engine_label = "incremental"
-
-    #: optional per-step :class:`~repro.resilience.degrade.StepBudget`
-    #: (set by the monitor; ``None`` keeps the hot path budget-free)
-    budget = None
 
     def __init__(
         self,
@@ -190,22 +171,15 @@ class IncrementalChecker(AuxAccounting):
                 step (see :mod:`repro.analysis.plan` and benchmark
                 E14).
         """
-        self.schema = schema
-        self.constraints = list(constraints)
+        constraints = list(constraints)
         if strict:
             from repro.lint.linter import reject_lint_errors
 
             reject_lint_errors(
-                schema, [(c.name, c.formula) for c in self.constraints]
+                schema, [(c.name, c.formula) for c in constraints]
             )
-        for c in self.constraints:
-            c.validate_schema(schema)
-        reject_future_constraints(self.constraints, "incremental")
-        self.state = (
-            initial if initial is not None else DatabaseState.empty(schema)
-        )
-        if self.state.schema != schema:
-            raise MonitorError("initial state does not match schema")
+        super().__init__(schema, constraints, instrumentation)
+        self.state = self._base_state(initial)
         self.collapse_unbounded = collapse_unbounded
         self.share_subformulas = bool(share_subformulas)
         # one auxiliary state per *structurally distinct* temporal node,
@@ -214,7 +188,6 @@ class IncrementalChecker(AuxAccounting):
         # the first-seen node represents its class and _shared_members
         # lists the other member nodes with the column renaming that
         # turns the representative's virtual table into theirs.
-        self._aux: Dict[Formula, AuxiliaryState] = {}
         self._shared_members: Dict[
             Formula, List["tuple[Formula, Dict[str, str]]"]
         ] = {}
@@ -262,8 +235,6 @@ class IncrementalChecker(AuxAccounting):
                         self._aux[node] = make_auxiliary(
                             node, collapse_unbounded
                         )
-        self._time: Optional[Timestamp] = None
-        self._index = -1
         # every formula evaluated per step is a maintained view
         # (repro.core.views), compiled here once: each temporal node's
         # operand (shared by the nodes that have it), SINCE's left
@@ -291,10 +262,9 @@ class IncrementalChecker(AuxAccounting):
             return view
 
         self._node_labels = {node: str(node) for node in self._aux}
-        #: what a step does per auxiliary state, in bottom-up order:
-        #: (state, its evaluate_now, its label, its node's cell, the
-        #: cells of the nodes sharing it with their column renamings)
-        self._schedule: List[tuple] = []
+        # what a step does per auxiliary state (Engine._schedule); the
+        # target handed to _publish is the node's cell and the cells of
+        # the nodes sharing its state, with their column renamings
         contextual_views: List[View] = []
         for node, aux in self._aux.items():
             if isinstance(node, Since):
@@ -311,11 +281,14 @@ class IncrementalChecker(AuxAccounting):
                 aux,
                 evaluator,
                 self._node_labels[node],
-                self._provider.cell(node),
-                [
-                    (self._provider.cell(member), columns)
-                    for member, columns in self._shared_members.get(node, ())
-                ],
+                (
+                    self._provider.cell(node),
+                    [
+                        (self._provider.cell(member), columns)
+                        for member, columns
+                        in self._shared_members.get(node, ())
+                    ],
+                ),
             ))
         self._constraint_views = [
             View(c.violation_formula) for c in self.constraints
@@ -328,176 +301,58 @@ class IncrementalChecker(AuxAccounting):
         #: constraint evaluations actually performed; a step in which
         #: no key of a constraint is affected reuses its witnesses
         self.evaluations = 0
-        #: hook sink (None = disabled; see repro.obs.instrument)
-        self.instrumentation = instrumentation
-        # telemetry attribution, precomputed so enabled-path lookups
-        # are dict reads: each constraint's aux states and each node's
-        # printable label.  With sharing, member nodes attribute to
-        # their class representative's aux state.
-        self._node_aux: Dict[Formula, AuxiliaryState] = dict(self._aux)
+        #: whether the installed state came from a transaction, i.e.
+        #: whether the step has a delta the views can follow
+        self._successor = False
+        # telemetry attribution: with sharing, member nodes attribute
+        # to their class representative's aux state
+        node_aux: Dict[Formula, AuxiliaryState] = dict(self._aux)
         for representative, members in self._shared_members.items():
             for member, _columns in members:
-                self._node_aux[member] = self._aux[representative]
-        self._constraint_aux = {
-            c.name: tuple(
-                {
-                    id(self._node_aux[node]): self._node_aux[node]
-                    for node in c.violation_formula.temporal_subformulas()
-                }.values()
-            )
-            for c in self.constraints
-        }
+                node_aux[member] = self._aux[representative]
+        self._attribute_aux(node_aux)
 
     # ------------------------------------------------------------------
-    # stepping
+    # the step (template: repro.core.engine.Engine)
     # ------------------------------------------------------------------
 
-    @property
-    def now(self) -> Optional[Timestamp]:
-        """Timestamp of the last processed state (None before any)."""
-        return self._time
-
-    @property
-    def steps_processed(self) -> int:
-        """Number of states processed so far."""
-        return self._index + 1
-
-    def step(self, time: Timestamp, txn: Transaction) -> StepReport:
-        """Apply ``txn`` at ``time`` and check all constraints.
-
-        Timestamps must strictly increase across calls.
-
-        Returns:
-            A :class:`StepReport` with any violations at the new state.
-        """
-        validate_successor(self._time, time)
-        if self.budget is not None:
-            self.budget.arm()
-        obs = self.instrumentation
-        if obs is not None:
-            started = perf_counter()
-            obs.step_begin(self.engine_label, time, txn.size)
-        self.state = self.state.apply(txn)
-        if obs is not None:
-            obs.apply_done(
-                self.engine_label, time, perf_counter() - started
-            )
-        self._time = time
-        self._index += 1
-        report = self._check_current(successor=True)
-        if obs is not None:
-            obs.step_end(
-                self.engine_label,
-                time,
-                perf_counter() - started,
-                len(report.violations),
-                self.aux_tuple_count(),
-            )
-        return report
-
-    def step_state(self, time: Timestamp, state: DatabaseState) -> StepReport:
-        """Like :meth:`step`, but with the successor state given directly."""
-        validate_successor(self._time, time)
-        if state.schema != self.schema:
-            raise MonitorError("state does not match checker schema")
-        if self.budget is not None:
-            self.budget.arm()
-        obs = self.instrumentation
-        if obs is not None:
-            started = perf_counter()
-            obs.step_begin(self.engine_label, time, None)
-        self.state = state
-        self._time = time
-        self._index += 1
+    def _apply(
+        self,
+        time: Timestamp,
+        txn: Optional[Transaction],
+        state: Optional[DatabaseState],
+    ) -> bool:
+        if txn is not None:
+            self.state = self.state.apply(txn)
+        else:
+            assert state is not None
+            self.state = state
         # no transaction, so no delta: every view evaluates in full
-        report = self._check_current(successor=False)
-        if obs is not None:
-            obs.step_end(
-                self.engine_label,
-                time,
-                perf_counter() - started,
-                len(report.violations),
-                self.aux_tuple_count(),
-            )
-        return report
+        self._successor = txn is not None
+        return self._successor
 
-    def run(self, stream: Union[UpdateStream, Sequence]) -> RunReport:
-        """Process a whole update stream; return the aggregate report."""
-        report = RunReport()
-        for time, txn in stream:
-            report.add(self.step(time, txn))
-        return report
+    def _advance_auxiliary(self, time: Timestamp) -> None:
+        self._provider.advance(self.state, self._successor)
+        super()._advance_auxiliary(time)
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-
-    def _check_current(self, successor: bool) -> StepReport:
-        assert self._time is not None
-        time = self._time
-        provider = self._provider
-        provider.advance(self.state, successor)
-
-        obs = self.instrumentation
-        # bottom-up: registration order is post-order per constraint, so
-        # any node's children were registered (hence advanced) before it.
-        # With sharing, each class representative advances once and its
+    def _publish(self, target, table: Table) -> None:
+        # with sharing, each class representative advances once and its
         # virtual table is fanned out to the member nodes by renaming
         # columns — a member's class was registered no later than any
-        # node containing it, so fan-out preserves bottom-up resolution.
-        for aux, evaluator, label, cell, members in self._schedule:
-            if obs is not None:
-                started = perf_counter()
-                table = aux.advance(time, evaluator)
-                obs.aux_advanced(
-                    self.engine_label,
-                    label,
-                    perf_counter() - started,
-                    aux.tuple_count(),
-                )
-            else:
-                table = aux.advance(time, evaluator)
-            provider.publish(cell, table)
-            for member, columns in members:
-                provider.publish(
-                    member, table.rename(columns) if columns else table
-                )
+        # node containing it, so fan-out preserves bottom-up resolution
+        cell, members = target
+        provider = self._provider
+        provider.publish(cell, table)
+        for member, columns in members:
+            provider.publish(
+                member, table.rename(columns) if columns else table
+            )
 
-        violations: List[Violation] = []
-        budget = self.budget
-        for c, view in zip(self.constraints, self._constraint_views):
-            if budget is not None and budget.should_defer(c.name):
-                # shed this evaluation; the view misses this step's
-                # delta, so it re-evaluates in full (is not served
-                # stale) the next time it runs
-                continue
-            if obs is not None:
-                started = perf_counter()
-                witnesses = self._witnesses_for(view)
-                obs.constraint_checked(
-                    self.engine_label,
-                    c.name,
-                    perf_counter() - started,
-                    0 if witnesses.is_empty else max(1, len(witnesses)),
-                    sum(
-                        a.tuple_count()
-                        for a in self._constraint_aux[c.name]
-                    ),
-                )
-            else:
-                witnesses = self._witnesses_for(view)
-            if not witnesses.is_empty:
-                violations.append(
-                    Violation(c.name, time, self._index, witnesses)
-                )
-        return StepReport(
-            time,
-            self._index,
-            violations,
-            deferred=tuple(budget.deferred) if budget is not None else (),
-        )
-
-    def _witnesses_for(self, view: View) -> Table:
+    def _witnesses(self, position: int, constraint: Constraint) -> Table:
+        # a view whose evaluation the budget shed misses that step's
+        # delta, so it re-evaluates in full (is not served stale) the
+        # next time it runs
+        view = self._constraint_views[position]
         before = view.evaluations
         witnesses = view.refresh(self._provider)
         self.evaluations += view.evaluations - before
@@ -547,4 +402,4 @@ class IncrementalChecker(AuxAccounting):
 
     # instrumentation: the uniform accounting protocol
     # (aux_tuple_count / aux_profile / state_profile / ...) is
-    # inherited from repro.core.statespace.AuxAccounting
+    # inherited, through Engine, from repro.core.statespace.AuxAccounting

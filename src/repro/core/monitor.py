@@ -38,6 +38,16 @@ from repro.db.database import DatabaseState
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
 from repro.errors import HandlerError, HistoryError, MonitorError
+from repro.resilience.policy import (
+    CHECKPOINTS_TOTAL,
+    FAULT_ERRORS,
+    JOURNAL_RECORDS_TOTAL,
+    FaultPolicy,
+    QuarantineLog,
+    ResilienceRuntime,
+    classify_fault,
+    count_degraded,
+)
 from repro.temporal.clock import Timestamp
 from repro.temporal.stream import UpdateStream
 
@@ -48,7 +58,253 @@ ENGINES = ("incremental", "naive", "naive-memo", "active", "adom")
 SHEDDING_ENGINES = ("incremental", "naive", "naive-memo", "adom")
 
 
-class Monitor:
+class MonitorFacade:
+    """What every monitor façade shares, whatever does the checking.
+
+    Constraint-text registration, violation/alert handler registration
+    with isolated dispatch, the fault policy and its out-of-band entry
+    (:meth:`record_fault`), and ingestion (:meth:`feed`).  A subclass
+    provides ``add_constraint``, ``step``, ``set_step_deadline``, an
+    ``engine`` label and :meth:`_next_index`.
+    """
+
+    #: which engine does the checking (the subclass says)
+    engine: str
+
+    def __init__(
+        self,
+        schema: DatabaseSchema,
+        instrumentation=None,
+        fault_policy=None,
+        quarantine_log=None,
+    ):
+        self.schema = schema
+        self.instrumentation = instrumentation
+        self.constraints: List[Constraint] = []
+        self._violation_handlers: List = []
+        self._alert_handlers: List = []
+        self._resilience: Optional[ResilienceRuntime] = None
+        self._ingest = None
+        self.set_fault_policy(fault_policy, quarantine_log)
+
+    def _metrics(self):
+        """The metrics registry behind the instrumentation, if any."""
+        return getattr(self.instrumentation, "metrics", None)
+
+    @property
+    def _series_engine(self) -> str:
+        """The ``engine`` label of the fault series this façade writes."""
+        return self.engine
+
+    def _next_index(self) -> int:
+        """Index the next applied step will get (skipped reports carry it)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # fault policy
+    # ------------------------------------------------------------------
+
+    def set_fault_policy(self, fault_policy, quarantine_log=None) -> None:
+        """Install, replace, or (with neither argument) clear the policy.
+
+        Args:
+            fault_policy: a :class:`~repro.resilience.FaultPolicy` or
+                its string name; ``None`` with a ``quarantine_log``
+                means ``"quarantine"``.
+            quarantine_log: optional
+                :class:`~repro.resilience.QuarantineLog` or a path for
+                one.
+
+        Takes effect immediately, including on an already-built engine
+        — the twin of ``set_step_deadline`` for monitors that were
+        resumed or recovered rather than constructed.
+        """
+        if fault_policy is None and quarantine_log is None:
+            self._resilience = None
+            return
+        if quarantine_log is not None and not isinstance(
+            quarantine_log, QuarantineLog
+        ):
+            quarantine_log = QuarantineLog(quarantine_log)
+        if fault_policy is None:
+            fault_policy = FaultPolicy.QUARANTINE
+        self._resilience = ResilienceRuntime(
+            fault_policy,
+            quarantine=quarantine_log,
+            metrics=self._metrics(),
+            engine=self._series_engine,
+        )
+
+    @property
+    def resilience(self):
+        """The fault-handling runtime (None when no policy is set)."""
+        return self._resilience
+
+    def _absorb_fault(self, kind: str, error, time, payload) -> StepReport:
+        """Apply the fault policy to one fault; the skipped report."""
+        resilience = self._resilience
+        assert resilience is not None  # callers raise without a policy
+        return resilience.handle(
+            kind, error, time, payload, self._next_index()
+        )
+
+    def record_fault(
+        self,
+        kind: str,
+        reason: str,
+        time: Optional[Timestamp] = None,
+        payload=None,
+    ) -> StepReport:
+        """Report an out-of-band fault (e.g. an unparseable stream line).
+
+        For callers that decode the stream themselves — such as the CLI
+        reading a history file leniently — and hit records that never
+        become a transaction at all.  Routed through the same fault
+        policy as step-boundary faults, so it raises under ``fail_fast``
+        (or with no policy configured).
+        """
+        error = HistoryError(reason)
+        if self._resilience is None:
+            raise error
+        return self._absorb_fault(
+            classify_fault(error) if kind is None else kind,
+            error,
+            time,
+            payload,
+        )
+
+    # ------------------------------------------------------------------
+    # registration and dispatch
+    # ------------------------------------------------------------------
+
+    def add_constraint(
+        self, name: str, formula: Union[str, Formula]
+    ) -> Constraint:
+        """Register one constraint (text or formula) before stepping."""
+        raise NotImplementedError
+
+    def add_constraints_text(self, text: str) -> List[Constraint]:
+        """Register a whole constraint file (``[name :] formula ; ...``)."""
+        return [
+            self.add_constraint(name, formula)
+            for name, formula in parse_constraints(text)
+        ]
+
+    def on_violation(self, handler) -> None:
+        """Register ``handler(violation)`` to run on every violation.
+
+        Handlers fire synchronously inside ``step``/``run``, in
+        registration order — the hook for alerting, journaling, or
+        compensation logic.  Each handler call is isolated: a raising
+        handler can neither mask the step's report nor skip the
+        handlers after it.  Collected failures are re-raised as one
+        :class:`~repro.errors.HandlerError` after dispatch (monitoring
+        must not silently drop reactions) — unless a ``skip`` or
+        ``quarantine`` fault policy is active, in which case they are
+        counted and dead-lettered instead.
+        """
+        self._violation_handlers.append(handler)
+
+    def on_alert(self, handler) -> None:
+        """Register ``handler(alert)`` to run on every alert.
+
+        Alerts fire synchronously inside ``step`` — the same channel
+        discipline as :meth:`on_violation`, including handler
+        isolation.  What an alert is depends on the façade:
+        :class:`~repro.obs.slo.SLOAlert` /
+        :class:`~repro.obs.statewatch.StateAlert` instances from a
+        ``Monitor``, shard crash/stall/tombstone
+        :class:`~repro.resilience.FaultRecord` s from a
+        ``ShardedMonitor``.
+        """
+        self._alert_handlers.append(handler)
+
+    def _dispatch(self, report: StepReport) -> StepReport:
+        failures = []
+        for violation in report.violations:
+            for handler in self._violation_handlers:
+                try:
+                    handler(violation)
+                except Exception as exc:  # noqa: BLE001 — isolation point
+                    failures.append((violation, exc))
+        if failures:
+            resilience = self._resilience
+            if resilience is not None and resilience.policy.value != "fail_fast":
+                resilience.handle_handler_failures(report, failures)
+            else:
+                raise HandlerError(report, failures) from failures[0][1]
+        return report
+
+    def _emit_alerts(self, alerts) -> None:
+        if not alerts or not self._alert_handlers:
+            return
+        failures = []
+        for alert in alerts:
+            for handler in self._alert_handlers:
+                try:
+                    handler(alert)
+                except Exception as exc:  # noqa: BLE001 — isolation point
+                    failures.append((alert, exc))
+        if failures:
+            raise HandlerError(alerts, failures) from failures[0][1]
+
+    # ------------------------------------------------------------------
+    # ingestion
+    # ------------------------------------------------------------------
+
+    @property
+    def ingest(self):
+        """The last :class:`~repro.ingest.IngestPipeline` fed (or None)."""
+        return self._ingest
+
+    def feed(
+        self,
+        sources,
+        watermark: int = 0,
+        max_lateness: Optional[int] = None,
+        skew=None,
+        retry=None,
+        queue_capacity: int = 1024,
+        backpressure: str = "block",
+        consumer_rate: Optional[int] = None,
+        pressure_deadline: Optional[float] = None,
+        urgent: Sequence[str] = (),
+        max_buffer: int = 4096,
+    ) -> RunReport:
+        """Pull from unordered, unreliable sources until they run dry.
+
+        The ingestion counterpart of ``run``: where ``run`` demands
+        a clean, strictly-increasing stream, ``feed`` accepts a list of
+        :class:`~repro.ingest.Source`-likes (any iterable of
+        ``(time, txn)`` pairs qualifies) and hardens the boundary — a
+        watermark reorderer absorbs disorder up to ``watermark`` clock
+        units, normalises per-source ``skew``, deduplicates replays,
+        and dead-letters too-late events; flaky sources are retried
+        per ``retry``; a bounded queue applies ``backpressure``.  See
+        :class:`~repro.ingest.IngestPipeline` for every knob, and
+        :attr:`ingest` for the accounting after the run.
+        """
+        from repro.ingest import IngestPipeline
+
+        pipeline = IngestPipeline(
+            self,
+            sources,
+            watermark=watermark,
+            max_lateness=max_lateness,
+            skew=skew,
+            retry=retry,
+            queue_capacity=queue_capacity,
+            backpressure=backpressure,
+            consumer_rate=consumer_rate,
+            pressure_deadline=pressure_deadline,
+            urgent=urgent,
+            max_buffer=max_buffer,
+        )
+        self._ingest = pipeline
+        return pipeline.run()
+
+
+class Monitor(MonitorFacade):
     """Registers constraints and checks them over an update stream."""
 
     def __init__(
@@ -77,8 +333,8 @@ class Monitor:
             fault_policy: optional
                 :class:`~repro.resilience.FaultPolicy` (or its string
                 name): ``"fail_fast"``, ``"skip"``, or ``"quarantine"``.
-                ``None`` (default) disables the fault boundary entirely
-                — faults raise, and the step hot path carries no guard.
+                ``None`` (default) leaves the fault boundary open —
+                faults raise.
             quarantine_log: optional
                 :class:`~repro.resilience.QuarantineLog` or a path for
                 one; implies ``fault_policy="quarantine"`` when no
@@ -119,35 +375,25 @@ class Monitor:
                 f"share_subformulas requires the incremental engine, "
                 f"not {engine!r}"
             )
-        self.schema = schema
         self.engine = engine
+        super().__init__(
+            schema, instrumentation, fault_policy, quarantine_log
+        )
         self.share_subformulas = bool(share_subformulas)
         self.initial = initial
-        self.instrumentation = instrumentation
-        self.constraints: List[Constraint] = []
         self.strict = strict
         self.lint_config = lint_config
         self._checker = None
-        self._violation_handlers: List = []
-        self._alert_handlers: List = []
         self._journal = None
         self._budget = None
-        self._resilience = None
-        self._ingest = None
         self._telemetry = None
         self._statewatch = None
         if step_deadline is not None:
-            self._configure_deadline(step_deadline, urgent)
-        if fault_policy is not None or quarantine_log is not None:
-            self._configure_fault_policy(fault_policy, quarantine_log)
+            self.set_step_deadline(step_deadline, urgent)
 
     # ------------------------------------------------------------------
     # resilience configuration
     # ------------------------------------------------------------------
-
-    def _metrics(self):
-        """The metrics registry behind the instrumentation, if any."""
-        return getattr(self.instrumentation, "metrics", None)
 
     def _publish_sharing_metrics(self, checker) -> None:
         """Expose the checker's subformula-dedup accounting as gauges."""
@@ -172,38 +418,6 @@ class Monitor:
             engine=self.engine,
         ).set(stats["dedup_ratio"])
 
-    def _configure_fault_policy(self, fault_policy, quarantine_log) -> None:
-        from repro.resilience import FaultPolicy, QuarantineLog, ResilienceRuntime
-
-        if quarantine_log is not None and not isinstance(
-            quarantine_log, QuarantineLog
-        ):
-            quarantine_log = QuarantineLog(quarantine_log)
-        if fault_policy is None:
-            fault_policy = FaultPolicy.QUARANTINE
-        self._resilience = ResilienceRuntime(
-            fault_policy,
-            quarantine=quarantine_log,
-            metrics=self._metrics(),
-            engine=self.engine,
-        )
-
-    def _configure_deadline(self, step_deadline, urgent) -> None:
-        from repro.resilience import StepBudget
-
-        if self.engine not in SHEDDING_ENGINES:
-            raise MonitorError(
-                f"step deadlines require an engine with a sheddable "
-                f"evaluation loop {SHEDDING_ENGINES}, not {self.engine!r}"
-            )
-        if not isinstance(step_deadline, StepBudget):
-            step_deadline = StepBudget(step_deadline, urgent=urgent)
-        if step_deadline.telemetry is None:
-            step_deadline.telemetry = self._telemetry
-        self._budget = step_deadline
-        if self._checker is not None:
-            self._checker.budget = step_deadline
-
     def set_step_deadline(self, step_deadline, urgent: Sequence[str] = ()):
         """Install, replace, or (with ``None``) clear the step budget.
 
@@ -211,12 +425,21 @@ class Monitor:
         the hook the ingest pipeline uses to arm a tighter deadline
         while its queue runs hot and disarm it once the backlog drains.
         """
-        if step_deadline is None:
-            self._budget = None
-            if self._checker is not None:
-                self._checker.budget = None
-            return
-        self._configure_deadline(step_deadline, urgent)
+        if step_deadline is not None:
+            from repro.resilience import StepBudget
+
+            if self.engine not in SHEDDING_ENGINES:
+                raise MonitorError(
+                    f"step deadlines require an engine with a sheddable "
+                    f"evaluation loop {SHEDDING_ENGINES}, not {self.engine!r}"
+                )
+            if not isinstance(step_deadline, StepBudget):
+                step_deadline = StepBudget(step_deadline, urgent=urgent)
+            if step_deadline.telemetry is None:
+                step_deadline.telemetry = self._telemetry
+        self._budget = step_deadline
+        if self._checker is not None:
+            self._checker.budget = step_deadline
 
     def enable_telemetry(self, slo=None, clock=None):
         """Attach end-to-end event-time telemetry (and, optionally, SLOs).
@@ -305,29 +528,6 @@ class Monitor:
         )
         return self._statewatch
 
-    def on_alert(self, handler) -> None:
-        """Register ``handler(alert)`` to run on every SLO alert.
-
-        Alerts are :class:`~repro.obs.slo.SLOAlert` instances, fired
-        synchronously inside :meth:`step` when a burn-rate rule
-        crosses its threshold — the same channel discipline as
-        :meth:`on_violation`, including handler isolation.
-        """
-        self._alert_handlers.append(handler)
-
-    def _emit_alerts(self, alerts) -> None:
-        if not alerts or not self._alert_handlers:
-            return
-        failures = []
-        for alert in alerts:
-            for handler in self._alert_handlers:
-                try:
-                    handler(alert)
-                except Exception as exc:  # noqa: BLE001 — isolation point
-                    failures.append((alert, exc))
-        if failures:
-            raise HandlerError(alerts, failures) from failures[0][1]
-
     def health(self):
         """The monitor's current state as a mergeable health snapshot.
 
@@ -351,16 +551,6 @@ class Monitor:
     def statewatch(self):
         """The attached state observatory (None when disabled)."""
         return self._statewatch
-
-    @property
-    def resilience(self):
-        """The fault-handling runtime (None when no policy is set)."""
-        return self._resilience
-
-    @property
-    def ingest(self):
-        """The last :class:`~repro.ingest.IngestPipeline` fed (or None)."""
-        return self._ingest
 
     @property
     def journal(self):
@@ -424,13 +614,6 @@ class Monitor:
         pairs.append((name, formula))
         reject_lint_errors(self.schema, pairs, config)
 
-    def add_constraints_text(self, text: str) -> List[Constraint]:
-        """Register a whole constraint file (``[name :] formula ; ...``)."""
-        return [
-            self.add_constraint(name, formula)
-            for name, formula in parse_constraints(text)
-        ]
-
     # ------------------------------------------------------------------
     # checking
     # ------------------------------------------------------------------
@@ -453,15 +636,11 @@ class Monitor:
             )
             self._publish_sharing_metrics(checker)
             return checker
-        if self.engine == "naive":
+        if self.engine in ("naive", "naive-memo"):
             return NaiveChecker(
                 self.schema, self.constraints, initial=self.initial,
-                memoize=False, instrumentation=self.instrumentation,
-            )
-        if self.engine == "naive-memo":
-            return NaiveChecker(
-                self.schema, self.constraints, initial=self.initial,
-                memoize=True, instrumentation=self.instrumentation,
+                memoize=self.engine == "naive-memo",
+                instrumentation=self.instrumentation,
             )
         if self.engine == "active":
             from repro.active.compiler import ActiveChecker
@@ -493,39 +672,6 @@ class Monitor:
             if engine is not None and hasattr(engine, "instrumentation"):
                 engine.instrumentation = instrumentation
 
-    def on_violation(self, handler) -> None:
-        """Register ``handler(violation)`` to run on every violation.
-
-        Handlers fire synchronously inside :meth:`step`/:meth:`run`, in
-        registration order — the hook for alerting, journaling, or
-        compensation logic.  Each handler call is isolated: a raising
-        handler can neither mask the step's report nor skip the
-        handlers after it.  Collected failures are re-raised as one
-        :class:`~repro.errors.HandlerError` after dispatch (monitoring
-        must not silently drop reactions) — unless a ``skip`` or
-        ``quarantine`` fault policy is active, in which case they are
-        counted and dead-lettered instead.
-        """
-        self._violation_handlers.append(handler)
-
-    def _dispatch(self, report: StepReport) -> StepReport:
-        if not self._violation_handlers:
-            return report
-        failures = []
-        for violation in report.violations:
-            for handler in self._violation_handlers:
-                try:
-                    handler(violation)
-                except Exception as exc:  # noqa: BLE001 — isolation point
-                    failures.append((violation, exc))
-        if failures:
-            resilience = self._resilience
-            if resilience is not None and resilience.policy.value != "fail_fast":
-                resilience.handle_handler_failures(report, failures)
-            else:
-                raise HandlerError(report, failures) from failures[0][1]
-        return report
-
     def step(self, time: Timestamp, txn: Transaction) -> StepReport:
         """Apply one transaction at ``time`` and check all constraints.
 
@@ -535,93 +681,89 @@ class Monitor:
         raising; the checker is untouched by a faulted step because
         every engine validates before mutating.
         """
-        telemetry = self._telemetry
-        if telemetry is None:
-            if self._resilience is None and self._journal is None:
-                return self._observe_state(
-                    self._note(
-                        self._dispatch(self.checker.step(time, txn))
-                    )
-                )
-            return self._observe_state(self._guarded_step(time, txn))
-        try:
-            telemetry.check_begin(time)
-        except TypeError:  # unhashable timestamp — the fault boundary's job
-            telemetry = None
-        if self._resilience is None and self._journal is None:
-            report = self._note(self._dispatch(self.checker.step(time, txn)))
-        else:
-            report = self._guarded_step(time, txn)
-        if telemetry is not None:
-            self._emit_alerts(telemetry.verdict(time, report))
-        return self._observe_state(report)
+        return self._step(time, txn, False)
 
-    def _observe_state(self, report: StepReport) -> StepReport:
-        if self._statewatch is not None:
-            self._emit_alerts(self._statewatch.observe(self.checker, report))
-        return report
-
-    def _note(self, report: StepReport) -> StepReport:
-        if self._budget is None or not report.degraded:
-            return report
-        if self._resilience is not None:
-            self._resilience.note_step(report)
-            return report
-        metrics = self._metrics()
-        if metrics is not None:
-            from repro.resilience.policy import (
-                DEFERRED_EVALS_TOTAL,
-                DEGRADED_STEPS_TOTAL,
+    def step_state(self, time: Timestamp, state: DatabaseState) -> StepReport:
+        """Record a full successor state at ``time`` and check."""
+        if self._journal is not None:
+            raise MonitorError(
+                "step_state cannot be journaled (the journal records "
+                "transactions); derive a transaction and use step()"
             )
+        return self._step(time, state, True)
 
-            metrics.counter(
-                DEGRADED_STEPS_TOTAL,
-                help="Steps that shed evaluations",
-                engine=self.engine,
-            ).inc()
-            for name in report.deferred:
-                metrics.counter(
-                    DEFERRED_EVALS_TOTAL,
-                    constraint=name,
-                    help="Constraint evaluations shed under deadline",
-                    engine=self.engine,
-                ).inc()
+    def run(self, stream: Union[UpdateStream, Sequence]) -> RunReport:
+        """Process a whole update stream; return the aggregate report."""
+        report = RunReport()
+        for time, txn in stream:
+            report.add(self._step(time, txn, False))
         return report
 
-    def _guarded_step(self, time: Timestamp, txn) -> StepReport:
-        from repro.resilience import FAULT_ERRORS, classify_fault
+    def _step(self, time: Timestamp, update, as_state: bool) -> StepReport:
+        """The one path every step takes, a stage per configured feature.
 
+        telemetry begin -> fault boundary around the engine call ->
+        journal append -> budget note -> handler dispatch -> telemetry
+        verdict -> statewatch.  ``update`` is a transaction, or with
+        ``as_state`` the successor state itself.  The journal is
+        appended to before handlers run so that a step whose handler
+        raises is already durable: recovery replays it instead of
+        losing a state the checker has moved past.
+        """
+        telemetry = self._telemetry
+        if telemetry is not None:
+            try:
+                telemetry.check_begin(time)
+            except TypeError:  # unhashable timestamp — the boundary's job
+                telemetry = None
         resilience = self._resilience
         checker = self.checker
-        tracer = getattr(self.instrumentation, "tracer", None)
-        depth = tracer.open_spans if tracer is not None else 0
+        tracer = None
+        if resilience is not None:
+            # an absorbed step must not leave its trace spans open
+            tracer = getattr(self.instrumentation, "tracer", None)
+            depth = tracer.open_spans if tracer is not None else 0
         try:
-            if resilience is not None and not isinstance(txn, Transaction):
-                raise HistoryError(
-                    f"stream element at t={time!r} is not a Transaction "
-                    f"but {type(txn).__name__}"
-                )
-            report = checker.step(time, txn)
+            if as_state:
+                report = checker.step_state(time, update)
+            else:
+                if resilience is not None and not isinstance(
+                    update, Transaction
+                ):
+                    raise HistoryError(
+                        f"stream element at t={time!r} is not a "
+                        f"Transaction but {type(update).__name__}"
+                    )
+                report = checker.step(time, update)
         except FAULT_ERRORS as exc:
-            # abandon any trace spans the failed step left open
+            if resilience is None:
+                raise
             if tracer is not None:
                 while tracer.open_spans > depth:
                     tracer.end(error=type(exc).__name__)
-            if resilience is None:
-                raise
-            return resilience.handle(
-                classify_fault(exc), exc, time, txn, checker.steps_processed
+            report = self._absorb_fault(
+                classify_fault(exc), exc, time, update
             )
-        if self._journal is not None:
-            self._journal_record(time, txn)
-        return self._note(self._dispatch(report))
+        else:
+            if self._journal is not None:
+                self._journal_record(time, update)
+            if report.deferred:
+                if resilience is not None:
+                    resilience.note_step(report)
+                else:
+                    count_degraded(self._metrics(), self.engine, report)
+            if self._violation_handlers:
+                self._dispatch(report)
+        if telemetry is not None:
+            self._emit_alerts(telemetry.verdict(time, report))
+        if self._statewatch is not None:
+            self._emit_alerts(self._statewatch.observe(checker, report))
+        return report
+
+    def _next_index(self) -> int:
+        return self.checker.steps_processed
 
     def _journal_record(self, time: Timestamp, txn: Transaction) -> None:
-        from repro.resilience.policy import (
-            CHECKPOINTS_TOTAL,
-            JOURNAL_RECORDS_TOTAL,
-        )
-
         checkpointed = self._journal.record(time, txn, self.checker)
         metrics = self._metrics()
         if metrics is not None:
@@ -636,113 +778,6 @@ class Monitor:
                     help="Automatic checkpoints written",
                     engine=self.engine,
                 ).inc()
-
-    def step_state(self, time: Timestamp, state: DatabaseState) -> StepReport:
-        """Record a full successor state at ``time`` and check."""
-        if self._journal is not None:
-            raise MonitorError(
-                "step_state cannot be journaled (the journal records "
-                "transactions); derive a transaction and use step()"
-            )
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.check_begin(time)
-        report = self._note(
-            self._dispatch(self.checker.step_state(time, state))
-        )
-        if telemetry is not None:
-            self._emit_alerts(telemetry.verdict(time, report))
-        return self._observe_state(report)
-
-    def run(self, stream: Union[UpdateStream, Sequence]) -> RunReport:
-        """Process a whole update stream; return the aggregate report."""
-        if (
-            not self._violation_handlers
-            and self._resilience is None
-            and self._journal is None
-            and self._budget is None
-            and self._telemetry is None
-            and self._statewatch is None
-        ):
-            return self.checker.run(stream)
-        report = RunReport()
-        for time, txn in stream:
-            report.add(self.step(time, txn))
-        return report
-
-    def feed(
-        self,
-        sources,
-        watermark: int = 0,
-        max_lateness: Optional[int] = None,
-        skew=None,
-        retry=None,
-        queue_capacity: int = 1024,
-        backpressure: str = "block",
-        consumer_rate: Optional[int] = None,
-        pressure_deadline: Optional[float] = None,
-        urgent: Sequence[str] = (),
-        max_buffer: int = 4096,
-    ) -> RunReport:
-        """Pull from unordered, unreliable sources until they run dry.
-
-        The ingestion counterpart of :meth:`run`: where ``run`` demands
-        a clean, strictly-increasing stream, ``feed`` accepts a list of
-        :class:`~repro.ingest.Source`-likes (any iterable of
-        ``(time, txn)`` pairs qualifies) and hardens the boundary — a
-        watermark reorderer absorbs disorder up to ``watermark`` clock
-        units, normalises per-source ``skew``, deduplicates replays,
-        and dead-letters too-late events; flaky sources are retried
-        per ``retry``; a bounded queue applies ``backpressure``.  See
-        :class:`~repro.ingest.IngestPipeline` for every knob, and
-        :attr:`ingest` for the accounting after the run.
-        """
-        from repro.ingest import IngestPipeline
-
-        pipeline = IngestPipeline(
-            self,
-            sources,
-            watermark=watermark,
-            max_lateness=max_lateness,
-            skew=skew,
-            retry=retry,
-            queue_capacity=queue_capacity,
-            backpressure=backpressure,
-            consumer_rate=consumer_rate,
-            pressure_deadline=pressure_deadline,
-            urgent=urgent,
-            max_buffer=max_buffer,
-        )
-        self._ingest = pipeline
-        return pipeline.run()
-
-    def record_fault(
-        self,
-        kind: str,
-        reason: str,
-        time: Optional[Timestamp] = None,
-        payload=None,
-    ) -> StepReport:
-        """Report an out-of-band fault (e.g. an unparseable stream line).
-
-        For callers that decode the stream themselves — such as the CLI
-        reading a history file leniently — and hit records that never
-        become a transaction at all.  Routed through the same fault
-        policy as step-boundary faults, so it raises under ``fail_fast``
-        (or with no policy configured).
-        """
-        error = HistoryError(reason)
-        if self._resilience is None:
-            raise error
-        from repro.resilience import classify_fault
-
-        return self._resilience.handle(
-            classify_fault(error) if kind is None else kind,
-            error,
-            time,
-            payload,
-            self.checker.steps_processed,
-        )
 
     @property
     def now(self) -> Optional[Timestamp]:
@@ -830,27 +865,27 @@ class Monitor:
             :class:`~repro.core.persist.RecoveryResult` describing what
             was restored and replayed.
         """
-        from repro.core.persist import RunJournal
         from repro.core.persist import recover as recover_run
 
         result = recover_run(directory)
-        checker = result.checker
-        monitor = cls(
-            checker.schema, engine="incremental",
-            share_subformulas=getattr(
-                checker, "share_subformulas", False
-            ),
-        )
-        monitor.constraints = list(checker.constraints)
-        monitor._checker = checker
+        monitor = cls._around(result.checker)
         if resume_journal:
-            journal = RunJournal(
+            monitor.enable_journal(
                 directory, checkpoint_every=checkpoint_every,
                 sync=sync, backend=backend, cold=cold,
             )
-            journal.attach(checker)
-            monitor._journal = journal
         return monitor, result
+
+    @classmethod
+    def _around(cls, checker: IncrementalChecker) -> "Monitor":
+        """A monitor whose engine is the restored ``checker``."""
+        monitor = cls(
+            checker.schema, engine="incremental",
+            share_subformulas=checker.share_subformulas,
+        )
+        monitor.constraints = list(checker.constraints)
+        monitor._checker = checker
+        return monitor
 
     def save(self, path) -> None:
         """Write a checkpoint of the monitoring run to ``path``.
@@ -873,16 +908,7 @@ class Monitor:
         """Restore a monitor from a checkpoint written by :meth:`save`."""
         from repro.core.persist import load_checker
 
-        checker = load_checker(path)
-        monitor = cls(
-            checker.schema, engine="incremental",
-            share_subformulas=getattr(
-                checker, "share_subformulas", False
-            ),
-        )
-        monitor.constraints = list(checker.constraints)
-        monitor._checker = checker
-        return monitor
+        return cls._around(load_checker(path))
 
     def __repr__(self) -> str:
         return (

@@ -21,27 +21,22 @@ property tests drive them interchangeably.
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from repro.core.checker import Constraint, reject_future_constraints
+from repro.core.checker import Constraint
+from repro.core.engine import Engine
 from repro.core.semantics import HistoryEvaluator
-from repro.core.violations import RunReport, StepReport, Violation
+from repro.core.statespace import deep_size
+from repro.db.algebra import Table
 from repro.db.database import DatabaseState
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
-from repro.errors import MonitorError
 from repro.temporal.clock import Timestamp
 from repro.temporal.history import History
-from repro.temporal.stream import UpdateStream
 
 
-class NaiveChecker:
+class NaiveChecker(Engine):
     """Checks constraints by materialising the history."""
-
-    #: optional per-step :class:`~repro.resilience.degrade.StepBudget`
-    #: (set by the monitor; ``None`` keeps the hot path budget-free)
-    budget = None
 
     def __init__(
         self,
@@ -51,111 +46,46 @@ class NaiveChecker:
         memoize: bool = False,
         instrumentation=None,
     ):
-        self.schema = schema
-        self.constraints = list(constraints)
-        for c in self.constraints:
-            c.validate_schema(schema)
-        reject_future_constraints(self.constraints, "naive")
+        #: engine label used in telemetry series and by ``space_of``
+        self.engine_label = "naive-memo" if memoize else "naive"
+        super().__init__(schema, constraints, instrumentation)
         self.history = History(schema)
-        self._base = (
-            initial if initial is not None else DatabaseState.empty(schema)
-        )
-        if self._base.schema != schema:
-            raise MonitorError("initial state does not match schema")
+        #: the latest state (the base state before any step)
+        self.state = self._base_state(initial)
         self.memoize = memoize
         self._evaluator: Optional[HistoryEvaluator] = (
             HistoryEvaluator(self.history) if memoize else None
         )
-        #: engine label used in telemetry series and by ``space_of``
-        self.engine_label = "naive-memo" if memoize else "naive"
-        #: hook sink (None = disabled; see repro.obs.instrument)
-        self.instrumentation = instrumentation
-        # row count of the transaction currently being stepped, handed
-        # from step() to step_state() for the step_begin hook
-        self._txn_rows: Optional[int] = None
+        # the evaluator of the step being checked
+        self._step_evaluator = HistoryEvaluator(self.history)
 
-    @property
-    def now(self) -> Optional[Timestamp]:
-        """Timestamp of the last processed state (None before any)."""
-        return None if self.history.is_empty else self.history.last.time
-
-    @property
-    def steps_processed(self) -> int:
-        """Number of states processed so far."""
-        return self.history.length
-
-    def step(self, time: Timestamp, txn: Transaction) -> StepReport:
-        """Apply ``txn`` at ``time`` and check all constraints."""
-        base = (
-            self.history.last.state if not self.history.is_empty else self._base
-        )
-        if self.instrumentation is not None:
-            self._txn_rows = txn.size
-        return self.step_state(time, base.apply(txn))
-
-    def step_state(self, time: Timestamp, state: DatabaseState) -> StepReport:
-        """Like :meth:`step`, but with the successor state given directly."""
-        budget = self.budget
-        if budget is not None:
-            budget.arm()
-        obs = self.instrumentation
-        if obs is not None:
-            started = perf_counter()
-            obs.step_begin(self.engine_label, time, self._txn_rows)
-            self._txn_rows = None
+    def _apply(
+        self,
+        time: Timestamp,
+        txn: Optional[Transaction],
+        state: Optional[DatabaseState],
+    ) -> bool:
+        if txn is not None:
+            state = self.state.apply(txn)
+        assert state is not None
         self.history.append(time, state)
-        if obs is not None:
-            obs.apply_done(
-                self.engine_label, time, perf_counter() - started
-            )
-        index = self.history.length - 1
-        evaluator = (
+        self.state = state
+        # without memoisation every step starts from a fresh evaluator
+        self._step_evaluator = (
             self._evaluator
             if self._evaluator is not None
             else HistoryEvaluator(self.history)
         )
-        violations: List[Violation] = []
-        for c in self.constraints:
-            if budget is not None and budget.should_defer(c.name):
-                continue
-            if obs is not None:
-                eval_started = perf_counter()
-                witnesses = evaluator.table_at(c.violation_formula, index)
-                # the naive engines have no per-constraint auxiliary
-                # store, so no aux_tuples attribution (None)
-                obs.constraint_checked(
-                    self.engine_label,
-                    c.name,
-                    perf_counter() - eval_started,
-                    0 if witnesses.is_empty else max(1, len(witnesses)),
-                    None,
-                )
-            else:
-                witnesses = evaluator.table_at(c.violation_formula, index)
-            if not witnesses.is_empty:
-                violations.append(Violation(c.name, time, index, witnesses))
-        report = StepReport(
-            time,
-            index,
-            violations,
-            deferred=tuple(budget.deferred) if budget is not None else (),
-        )
-        if obs is not None:
-            obs.step_end(
-                self.engine_label,
-                time,
-                perf_counter() - started,
-                len(violations),
-                self.stored_tuples(),
-            )
-        return report
+        return True
 
-    def run(self, stream: Union[UpdateStream, Sequence]) -> RunReport:
-        """Process a whole update stream; return the aggregate report."""
-        report = RunReport()
-        for time, txn in stream:
-            report.add(self.step(time, txn))
-        return report
+    def _witnesses(self, position: int, constraint: Constraint) -> Table:
+        return self._step_evaluator.table_at(
+            constraint.violation_formula, self._index
+        )
+
+    def _constraint_tuples(self, constraint: Constraint) -> None:
+        """The naive engines have no per-constraint auxiliary store."""
+        return None
 
     def stored_states(self) -> int:
         """States retained — the naive space measure (grows forever)."""
@@ -170,60 +100,28 @@ class NaiveChecker:
         return self.stored_tuples()
 
     # the uniform accounting protocol (repro.core.statespace): the
-    # naive engines keep no auxiliary relations, so the aux hooks are
-    # empty and the footprint shows up in the ``history`` section
-
-    def aux_nodes(self) -> list:
-        """Temporal subformulas with auxiliary state (none here)."""
-        return []
-
-    def aux_tuple_count(self) -> int:
-        """Auxiliary entries — always 0; the history is the store."""
-        return 0
-
-    def aux_valuation_count(self) -> int:
-        """Distinct auxiliary valuations — always 0."""
-        return 0
-
-    def aux_profile(self) -> dict:
-        """Per-node auxiliary counts — empty for the naive engines."""
-        return {}
-
-    def aux_counts(self) -> dict:
-        """Per-node (tuples, valuations) — empty for the naive engines."""
-        return {}
-
-    def iter_state_valuations(self):
-        """No per-valuation auxiliary state to enumerate."""
-        return iter(())
+    # naive engines keep no auxiliary relations, so the inherited aux
+    # hooks are empty and the footprint shows up in the ``history``
+    # section
 
     def state_profile(self, deep: bool = True) -> dict:
         """Uniform accounting snapshot (``history`` section only)."""
-        from repro.core.statespace import deep_size
-
-        tuples = self.stored_tuples()
-        return {
-            "engine": self.engine_label,
-            "nodes": {},
-            "total": {
-                "tuples": 0,
-                "valuations": 0,
-                "bytes": 0 if deep else None,
-            },
-            "space_tuples": self.space_tuples(),
-            "history": {
-                "states": self.stored_states(),
-                "tuples": tuples,
-                "bytes": (
-                    deep_size(
-                        [
-                            tuple(rel.rows)
-                            for snap in self.history
-                            for rel in snap.state
-                        ]
-                    )
-                    if deep
-                    else None
-                ),
-            },
+        profile = super().state_profile(deep)
+        if deep:
+            profile["total"]["bytes"] = 0  # no auxiliary relations at all
+        profile["history"] = {
+            "states": self.stored_states(),
+            "tuples": self.stored_tuples(),
+            "bytes": (
+                deep_size(
+                    [
+                        tuple(rel.rows)
+                        for snap in self.history
+                        for rel in snap.state
+                    ]
+                )
+                if deep
+                else None
+            ),
         }
+        return profile

@@ -50,10 +50,12 @@ same accounting questions through one documented protocol:
     (active-domain checker).  ``deep=False`` skips the byte walk (the
     only expensive part), letting per-step samplers stay cheap.
 
-:class:`AuxAccounting` implements the protocol once for every engine
-that keeps a ``_aux: Dict[Formula, AuxiliaryState]`` map (incremental,
-active-domain, delayed); the naive and active engines implement it
-directly over their own stores.
+:class:`AuxAccounting` implements the protocol once over a
+``_aux: Dict[Formula, AuxiliaryState]`` map, and every engine inherits
+it (the pure-past ones through :class:`repro.core.engine.Engine`):
+incremental, active-domain and delayed fill the map, the naive engines
+leave it empty and add their ``history`` section, and the active engine
+overrides the hooks over its auxiliary tables.
 """
 
 from __future__ import annotations
@@ -93,9 +95,9 @@ def profile_totals(nodes: Dict[str, Dict]) -> Dict[str, object]:
 class AuxAccounting:
     """The ``state_profile`` protocol over a ``_aux`` node map.
 
-    Mixed into every engine that maintains one
-    :class:`~repro.core.auxiliary.AuxiliaryState` per temporal node;
-    subclasses extend :meth:`state_profile` with their own sections
+    Inherited by every engine; one
+    :class:`~repro.core.auxiliary.AuxiliaryState` per temporal node in
+    ``_aux`` is what it accounts.  Subclasses extend :meth:`state_profile` with their own sections
     (delay buffer, active domain) and override :meth:`space_tuples`
     when their footprint includes more than the auxiliary relations.
     """

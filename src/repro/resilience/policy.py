@@ -90,6 +90,25 @@ def classify_fault(exc: BaseException) -> str:
     return "handler" if exc.__class__.__name__ == "HandlerError" else "other"
 
 
+def count_degraded(metrics, engine: str, report: StepReport) -> None:
+    """Count one degraded step and each evaluation it shed into
+    ``metrics`` (a no-op without a registry) — the one place the
+    degraded/deferred series are written, with or without a policy."""
+    if metrics is None:
+        return
+    metrics.counter(
+        DEGRADED_STEPS_TOTAL, help="Steps that shed evaluations",
+        engine=engine,
+    ).inc()
+    for name in report.deferred:
+        metrics.counter(
+            DEFERRED_EVALS_TOTAL,
+            help="Constraint evaluations shed under deadline",
+            engine=engine,
+            constraint=name,
+        ).inc()
+
+
 class FaultRecord:
     """One dead-letter entry: what failed, when, and why."""
 
@@ -293,15 +312,7 @@ class ResilienceRuntime:
         """Record degradation telemetry for a completed step."""
         if report.degraded:
             self.degraded_steps += 1
-            self._count(
-                DEGRADED_STEPS_TOTAL, help="Steps that shed evaluations"
-            )
-            for name in report.deferred:
-                self._count(
-                    DEFERRED_EVALS_TOTAL,
-                    constraint=name,
-                    help="Constraint evaluations shed under deadline",
-                )
+            count_degraded(self.metrics, self.engine, report)
 
     def summary(self) -> Dict[str, object]:
         """Counters as a plain dict (CLI / test reporting)."""

@@ -40,11 +40,13 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.checker import Constraint
 from repro.core.formulas import Formula
-from repro.core.parser import parse, parse_constraints
+from repro.core.monitor import MonitorFacade
+from repro.core.parser import parse
 from repro.core.violations import RunReport, StepReport
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
-from repro.errors import HandlerError, HistoryError, MonitorError
+from repro.errors import HistoryError, MonitorError
+from repro.resilience.policy import FAULT_ERRORS, classify_fault
 from repro.shard.partition import PLAN_VERSION, ShardPlan
 from repro.shard.supervisor import ShardSupervisor
 from repro.shard.worker import WorkerSpec
@@ -58,10 +60,19 @@ def _shard_dir(root: Path, shard: int) -> Path:
     return root / f"shard-{shard:04d}"
 
 
-class ShardedMonitor:
-    """Hash-partitioned monitoring across a supervised worker pool."""
+class ShardedMonitor(MonitorFacade):
+    """Hash-partitioned monitoring across a supervised worker pool.
+
+    Registration of constraint files and handlers, isolated dispatch,
+    the fault policy, ``record_fault`` and ``feed`` are the shared
+    :class:`~repro.core.monitor.MonitorFacade`'s; this class is the
+    submit/flush transport over the workers and its accounting.
+    """
 
     engine = "incremental"
+    #: the supervisor-side fault series are labelled apart from the
+    #: workers' own
+    _series_engine = "sharded"
 
     def __init__(
         self,
@@ -115,7 +126,9 @@ class ShardedMonitor:
             quarantine_log: optional
                 :class:`~repro.resilience.QuarantineLog` or path.
         """
-        self.schema = schema
+        super().__init__(
+            schema, instrumentation, fault_policy, quarantine_log
+        )
         self.key = key
         self.shards = shards
         self.plan = ShardPlan(schema, key, shards, on_unkeyed=on_unkeyed)
@@ -131,54 +144,14 @@ class ShardedMonitor:
         self.max_respawns = max_respawns
         self.pressure_deadline = pressure_deadline
         self.urgent = tuple(urgent)
-        self.instrumentation = instrumentation
-        self.constraints: List[Constraint] = []
         self._texts: List[tuple] = []
         self._supervisor: Optional[ShardSupervisor] = None
-        self._violation_handlers: List = []
-        self._alert_handlers: List = []
-        self._resilience = None
-        self._ingest = None
         self._now: Optional[Timestamp] = None
         self._index = 0
         self._steps_fed = 0
         self._verdicts = 0
         self._degraded = 0
         self._shed = 0
-        if fault_policy is not None or quarantine_log is not None:
-            self._configure_fault_policy(fault_policy, quarantine_log)
-
-    # ------------------------------------------------------------------
-    # configuration (mirrors Monitor)
-    # ------------------------------------------------------------------
-
-    def _metrics(self):
-        return getattr(self.instrumentation, "metrics", None)
-
-    def _configure_fault_policy(self, fault_policy, quarantine_log) -> None:
-        from repro.resilience import (
-            FaultPolicy,
-            QuarantineLog,
-            ResilienceRuntime,
-        )
-
-        if quarantine_log is not None and not isinstance(
-            quarantine_log, QuarantineLog
-        ):
-            quarantine_log = QuarantineLog(quarantine_log)
-        if fault_policy is None:
-            fault_policy = FaultPolicy.QUARANTINE
-        self._resilience = ResilienceRuntime(
-            fault_policy,
-            quarantine=quarantine_log,
-            metrics=self._metrics(),
-            engine="sharded",
-        )
-
-    @property
-    def resilience(self):
-        """The supervisor-side fault runtime (None when no policy)."""
-        return self._resilience
 
     @property
     def telemetry(self):
@@ -186,31 +159,9 @@ class ShardedMonitor:
         return None
 
     @property
-    def ingest(self):
-        """The last :class:`~repro.ingest.IngestPipeline` fed (or None)."""
-        return self._ingest
-
-    @property
     def now(self) -> Optional[Timestamp]:
         """Timestamp of the last accepted step (None before any)."""
         return self._now
-
-    def on_violation(self, handler) -> None:
-        """Register ``handler(violation)`` on every *merged* violation.
-
-        Same isolation discipline as
-        :meth:`~repro.core.monitor.Monitor.on_violation`.
-        """
-        self._violation_handlers.append(handler)
-
-    def on_alert(self, handler) -> None:
-        """Register ``handler(record)`` for shard fault alerts.
-
-        Receives each crash/stall/tombstone
-        :class:`~repro.resilience.FaultRecord` the supervisor emits —
-        the sharded counterpart of the Monitor's alert channel.
-        """
-        self._alert_handlers.append(handler)
 
     # ------------------------------------------------------------------
     # registration
@@ -240,13 +191,6 @@ class ShardedMonitor:
         self.constraints.append(constraint)
         self._texts.append((name, text))
         return constraint
-
-    def add_constraints_text(self, text: str) -> List[Constraint]:
-        """Register a whole constraint file (``[name :] formula ; ...``)."""
-        return [
-            self.add_constraint(name, formula)
-            for name, formula in parse_constraints(text)
-        ]
 
     # ------------------------------------------------------------------
     # the worker pool
@@ -323,14 +267,7 @@ class ShardedMonitor:
         if resilience is not None and resilience.quarantine is not None:
             resilience.quarantine.record(record)
             resilience.quarantined += 1
-        failures = []
-        for handler in self._alert_handlers:
-            try:
-                handler(record)
-            except Exception as exc:  # noqa: BLE001 — isolation point
-                failures.append((record, exc))
-        if failures:
-            raise HandlerError([record], failures) from failures[0][1]
+        self._emit_alerts([record])
 
     # ------------------------------------------------------------------
     # checking
@@ -362,24 +299,7 @@ class ShardedMonitor:
             report.add(merged)
         return report
 
-    def feed(self, sources, **kwargs) -> RunReport:
-        """Pull from unordered, unreliable sources until they run dry.
-
-        The sharded counterpart of
-        :meth:`~repro.core.monitor.Monitor.feed` — the same
-        :class:`~repro.ingest.IngestPipeline` (watermark reordering,
-        retries, bounded queue) drives the merged :meth:`step`.
-        """
-        from repro.ingest import IngestPipeline
-
-        pipeline = IngestPipeline(self, sources, **kwargs)
-        self._ingest = pipeline
-        return pipeline.run()
-
     def _submit(self, time: Timestamp, txn: Transaction) -> List[StepReport]:
-        from repro.resilience import FAULT_ERRORS, classify_fault
-
-        self._steps_fed += 1
         try:
             if not isinstance(txn, Transaction):
                 raise HistoryError(
@@ -390,22 +310,30 @@ class ShardedMonitor:
             txn.validate(self.schema)
         except FAULT_ERRORS as exc:
             if self._resilience is None:
-                self._steps_fed -= 1
                 raise
             # keep report order: everything in flight merges first
             ready = [self._finish(r) for r in self.supervisor.flush()]
-            skipped = self._resilience.handle(
-                classify_fault(exc), exc, time, txn, self._index
+            ready.append(
+                self._absorb_fault(classify_fault(exc), exc, time, txn)
             )
-            self._shed += 1
-            ready.append(skipped)
             return ready
+        self._steps_fed += 1
         self._now = time
         index = self._index
         self._index += 1
         return [
             self._finish(r) for r in self.supervisor.submit(time, txn, index)
         ]
+
+    def _next_index(self) -> int:
+        return self._index
+
+    def _absorb_fault(self, kind: str, error, time, payload) -> StepReport:
+        """A fault the policy absorbs is a fed step that was shed."""
+        skipped = super()._absorb_fault(kind, error, time, payload)
+        self._steps_fed += 1
+        self._shed += 1
+        return skipped
 
     def _flush(self) -> List[StepReport]:
         if self._supervisor is None:
@@ -420,49 +348,6 @@ class ShardedMonitor:
         else:
             self._verdicts += 1
         return self._dispatch(report)
-
-    def _dispatch(self, report: StepReport) -> StepReport:
-        if not self._violation_handlers:
-            return report
-        failures = []
-        for violation in report.violations:
-            for handler in self._violation_handlers:
-                try:
-                    handler(violation)
-                except Exception as exc:  # noqa: BLE001 — isolation point
-                    failures.append((violation, exc))
-        if failures:
-            resilience = self._resilience
-            if resilience is not None and (
-                resilience.policy.value != "fail_fast"
-            ):
-                resilience.handle_handler_failures(report, failures)
-            else:
-                raise HandlerError(report, failures) from failures[0][1]
-        return report
-
-    def record_fault(
-        self,
-        kind: str,
-        reason: str,
-        time: Optional[Timestamp] = None,
-        payload=None,
-    ) -> StepReport:
-        """Report an out-of-band fault (lenient stream decoding)."""
-        error = HistoryError(reason)
-        if self._resilience is None:
-            raise error
-        from repro.resilience import classify_fault
-
-        self._steps_fed += 1
-        self._shed += 1
-        return self._resilience.handle(
-            classify_fault(error) if kind is None else kind,
-            error,
-            time,
-            payload,
-            self._index,
-        )
 
     def set_step_deadline(self, deadline, urgent=()) -> None:
         """Install or clear a step budget on every live worker."""

@@ -1,5 +1,7 @@
 """Unit tests for the Monitor façade."""
 
+from itertools import combinations
+
 import pytest
 
 from repro import Monitor, Transaction, UnsafeFormulaError
@@ -9,6 +11,17 @@ from repro.errors import MonitorError, SchemaError
 
 def ins(rel, *rows):
     return Transaction({rel: list(rows)})
+
+
+#: everything that adds a stage to ``Monitor``'s step path
+FEATURES = (
+    "quarantine", "journal", "deadline", "telemetry", "statewatch", "handler"
+)
+CONFIGURATIONS = [
+    subset
+    for size in range(len(FEATURES) + 1)
+    for subset in combinations(FEATURES, size)
+]
 
 
 class TestRegistration:
@@ -71,6 +84,67 @@ class TestEngines:
         assert report.violation_count == 1
         assert report.first_violation().time == 0
         assert report.by_constraint() == {"c": report.violations}
+
+
+    @pytest.mark.parametrize("entry", ["step", "run"])
+    @pytest.mark.parametrize(
+        "features", CONFIGURATIONS, ids=lambda f: "+".join(f) or "bare"
+    )
+    def test_every_configuration_matches_the_bare_checker(
+        self, features, entry, tmp_path
+    ):
+        """Whatever is switched on, the one step path yields the bare
+        checker's reports and answers every fed step exactly once."""
+        from repro.workloads import sensors_workload
+
+        steps = 60
+        workload = sensors_workload(violation_rate=0.15)
+        stream = list(workload.stream(steps, seed=1992))
+        bare = workload.checker()
+        expected = [bare.step(time, txn) for time, txn in stream]
+        assert sum(len(r.violations) for r in expected) > 0
+
+        monitor = Monitor(
+            workload.schema,
+            fault_policy="quarantine" if "quarantine" in features else None,
+            step_deadline=60.0 if "deadline" in features else None,
+        )
+        for c in workload.constraints:
+            monitor.add_constraint(c.name, c.formula)
+        if "telemetry" in features:
+            monitor.enable_telemetry()
+        if "statewatch" in features:
+            monitor.enable_statewatch()
+        if "journal" in features:
+            monitor.enable_journal(tmp_path / "journal", checkpoint_every=16)
+        handled = []
+        if "handler" in features:
+            monitor.on_violation(handled.append)
+
+        if entry == "run":
+            reports = monitor.run(stream).steps
+        else:
+            reports = [monitor.step(time, txn) for time, txn in stream]
+        if monitor.journal is not None:
+            monitor.journal.close()
+
+        assert reports == expected
+        # the accounting identity: fed == verdicts + degraded + shed
+        shed = sum(r.skipped for r in reports)
+        degraded = sum(r.degraded for r in reports)
+        verdicts = len(reports) - shed - degraded
+        assert (verdicts, degraded, shed) == (steps, 0, 0)
+        assert monitor.checker.steps_processed == steps
+        if "handler" in features:
+            assert handled == [v for r in expected for v in r.violations]
+        if "quarantine" in features:
+            assert monitor.resilience.summary()["faults"] == {}
+        if "journal" in features:
+            assert monitor.journal.records_written == steps
+        if "telemetry" in features:
+            assert monitor.telemetry.steps_processed == steps
+        if "statewatch" in features:
+            assert monitor.statewatch.steps_observed == steps
 
 
 class TestViolationHandlers:

@@ -61,6 +61,82 @@ class CountingInstrumentation(Instrumentation):
         self._note("step_end")
 
 
+class RecordingInstrumentation(Instrumentation):
+    """Double that records every hook call: the hook's name, the engine
+    label, the names it was given and the *kind* of every other
+    argument (values such as durations differ run to run)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def _record(self, hook, engine, *args):
+        self.calls.append((hook, engine) + tuple(
+            arg if isinstance(arg, str) else type(arg).__name__
+            for arg in args
+        ))
+
+    def step_begin(self, engine, time, txn_rows):
+        self._record("step_begin", engine, time, txn_rows)
+
+    def apply_done(self, engine, time, seconds):
+        self._record("apply_done", engine, time, seconds)
+
+    def aux_advanced(self, engine, node, seconds, tuples):
+        self._record("aux_advanced", engine, node, seconds, tuples)
+
+    def rule_fired(self, engine, rule, time, seconds):
+        self._record("rule_fired", engine, rule, time, seconds)
+
+    def constraint_checked(self, engine, constraint, seconds,
+                           violations, aux_tuples):
+        self._record("constraint_checked", engine, constraint, seconds,
+                     violations, aux_tuples)
+
+    def step_end(self, engine, time, seconds, violations, aux_tuples):
+        self._record("step_end", engine, time, seconds, violations,
+                     aux_tuples)
+
+
+#: the sensors workload's temporal nodes, bottom-up, and constraints
+SENSOR_NODES = (
+    "ONCE[0,10] reading(s, 2)",
+    "((EXISTS l. (reading(s, l) AND l >= 1)) SINCE[5,*] reading(s, 2))",
+    "ONCE[1,3] maintenance(s)",
+)
+SENSOR_CONSTRAINTS = ("alarm-justified", "sustained-high", "cooldown")
+
+
+def pinned_step(engine):
+    """One step's hook calls on the sensors workload, as recorded from
+    every engine before the engines shared a step template."""
+    begin = ("step_begin", engine, "int", "int")
+    applied = ("apply_done", engine, "int", "float")
+    end = ("step_end", engine, "int", "float", "int", "int")
+    advanced = [
+        ("aux_advanced", engine, node, "float", "int")
+        for node in SENSOR_NODES
+    ]
+    # the naive engines keep no per-constraint auxiliary store
+    footprint = "NoneType" if engine.startswith("naive") else "int"
+    checked = [
+        ("constraint_checked", engine, name, "float", "int", footprint)
+        for name in SENSOR_CONSTRAINTS
+    ]
+    if engine == "active":
+        # maintenance and the check are rule firings inside the commit:
+        # no separate apply phase, no aux_advanced
+        fired = [
+            ("rule_fired", engine, f"maintain-aux{i}", "int", "float")
+            for i in range(len(SENSOR_NODES))
+        ]
+        check_rule = ("rule_fired", engine, "check-constraints",
+                      "int", "float")
+        return [begin, *fired, *checked, check_rule, end]
+    if engine.startswith("naive"):
+        return [begin, applied, *checked, end]
+    return [begin, applied, *advanced, *checked, end]
+
+
 def run_engine(engine, instrumentation, steps=STEPS):
     workload = library_workload(violation_rate=0.2)
     monitor = workload.monitor(engine)
@@ -117,6 +193,17 @@ class TestEveryEngine:
         )
         assert total > 0
         assert monitor.checker is not None
+
+    def test_hook_sequence_is_pinned(self, engine):
+        from repro.workloads import sensors_workload
+
+        workload = sensors_workload(violation_rate=0.3)
+        monitor = workload.monitor(engine)
+        recording = RecordingInstrumentation()
+        monitor.instrument(recording)
+        for time, txn in workload.stream(6, seed=5):
+            monitor.step(time, txn)
+        assert recording.calls == pinned_step(engine) * 6
 
     def test_space_tuples_uniform_hook(self, engine):
         from repro.analysis.metrics import space_of

@@ -132,6 +132,21 @@ class TestMonitorFaultBoundary:
         after = monitor.step(2, ins("p", (3,)))
         assert after.index == 1  # the fault consumed no state index
 
+    def test_step_state_goes_through_the_same_boundary(self, schema):
+        from repro.db.database import DatabaseState
+
+        monitor = make_monitor(schema, fault_policy="skip")
+        state = DatabaseState.from_rows(schema, {"p": [(1,)]})
+        assert not monitor.step(5, Transaction.noop()).skipped
+        # a clock fault is skipped whichever way the step comes in
+        assert monitor.step(5, Transaction.noop()).skipped
+        bad = monitor.step_state(5, state)
+        assert bad.skipped and bad.fault.kind == "clock"
+        assert monitor.now == 5
+        assert monitor.resilience.fault_counts == {"clock": 2}
+        after = monitor.step_state(6, state)
+        assert not after.skipped and after.index == 1
+
     def test_run_aggregates_skips(self, schema):
         monitor = make_monitor(schema, fault_policy="skip")
         report = monitor.run(
