@@ -432,6 +432,10 @@ class RunJournal:
             self._spill = True
         else:
             self._spill = False
+        #: set by an owner that commits in groups (a shard worker, once
+        #: per frame): :meth:`record` then only writes, and a step is
+        #: durable once the owner's :meth:`commit` returns
+        self.group_commit = False
         self.records_written = 0
         self.checkpoints_written = 0
         self._since_checkpoint = 0
@@ -475,13 +479,20 @@ class RunJournal:
         """
         entry = {"t": time}
         entry.update(txn.to_dict())
-        self.store.append(entry)
+        if self.group_commit:
+            self.store.write(entry)
+        else:
+            self.store.append(entry)
         self.records_written += 1
         self._since_checkpoint += 1
         if self._since_checkpoint >= self.checkpoint_every:
             self.checkpoint(checker)
             return True
         return False
+
+    def commit(self) -> None:
+        """Make every recorded step durable (``group_commit`` owners)."""
+        self.store.commit()
 
     def checkpoint(self, checker: IncrementalChecker) -> None:
         """Write an atomic checkpoint now and rotate the journal.

@@ -15,7 +15,8 @@ Layout:
 * :mod:`repro.shard.partition` — the key-routing plan: which
   constraints shard, how tuples and witnesses route, stable hashing;
 * :mod:`repro.shard.worker` — inline (deterministic) and OS-process
-  workers with the journal-then-ack durability protocol;
+  workers, the framed pipe between supervisor and process workers, and
+  the per-frame journal-then-ack durability protocol;
 * :mod:`repro.shard.supervisor` — dispatch, bounded mailboxes with
   backpressure, heartbeats, crash recovery, tombstoning;
 * :mod:`repro.shard.merge` — reassembling global verdicts in
@@ -38,6 +39,7 @@ from repro.shard.supervisor import ShardSupervisor
 from repro.shard.worker import (
     InlineWorker,
     ProcessWorker,
+    ShardServer,
     WorkerSpec,
     build_worker_monitor,
     recover_worker_monitor,
@@ -49,6 +51,7 @@ __all__ = [
     "InlineWorker",
     "ProcessWorker",
     "ShardPlan",
+    "ShardServer",
     "ShardSupervisor",
     "ShardedMonitor",
     "WorkerSpec",

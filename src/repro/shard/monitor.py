@@ -112,7 +112,9 @@ class ShardedMonitor(MonitorFacade):
             chaos: optional
                 :class:`~repro.resilience.ShardChaosPlan` of injected
                 worker faults (tests, smoke runs).
-            mailbox_capacity: per-shard backlog bound (backpressure).
+            mailbox_capacity: per-shard backlog bound (backpressure);
+                the process transport sends steps in frames of half
+                this many.
             stall_timeout: heartbeat budget in pump rounds.
             max_respawns: per-shard crash budget before tombstoning.
             pressure_deadline: step budget (seconds) armed on a worker
@@ -350,7 +352,8 @@ class ShardedMonitor(MonitorFacade):
         return self._dispatch(report)
 
     def set_step_deadline(self, deadline, urgent=()) -> None:
-        """Install or clear a step budget on every live worker."""
+        """Install or clear a step budget on every live worker (a
+        process worker takes it up after the steps already submitted)."""
         self.supervisor.set_step_deadline(deadline, urgent=urgent)
 
     # ------------------------------------------------------------------

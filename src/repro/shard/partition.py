@@ -69,6 +69,13 @@ def _encode(value) -> bytes:
     return b"r:" + repr(value).encode("utf-8")
 
 
+#: Value types whose equality implies an identical :func:`_encode`
+#: (floats are not: ``0.0 == -0.0`` and their reprs differ), and the
+#: bound on a plan's route memo (cleared when full).
+_MEMOISED_TYPES = frozenset({int, str, bool, type(None)})
+ROUTE_MEMO_LIMIT = 1 << 16
+
+
 def stable_hash(value) -> int:
     """A 64-bit hash of ``value`` stable across processes and runs."""
     digest = hashlib.blake2s(_encode(value), digest_size=8).digest()
@@ -123,6 +130,9 @@ class ShardPlan:
             )
         #: constraint name -> ("keyed", key var) | ("pinned", None)
         self._modes: Dict[str, Tuple[str, object]] = {}
+        #: (type, key value) -> shard; the type is part of the key
+        #: because 1, 1.0 and True are one dict key and route apart
+        self._routes: Dict[tuple, int] = {}
 
     # ------------------------------------------------------------------
     # constraint admission
@@ -230,7 +240,16 @@ class ShardPlan:
 
     def route(self, value) -> int:
         """The shard owning key value ``value``."""
-        return stable_hash(value) % self.shards
+        kind = type(value)
+        if kind not in _MEMOISED_TYPES:
+            return stable_hash(value) % self.shards
+        routes = self._routes
+        shard = routes.get((kind, value))
+        if shard is None:
+            if len(routes) >= ROUTE_MEMO_LIMIT:
+                routes.clear()
+            shard = routes[kind, value] = stable_hash(value) % self.shards
+        return shard
 
     def split(self, txn: Transaction) -> List[Transaction]:
         """Partition one transaction into per-shard sub-transactions.

@@ -3,16 +3,23 @@
 Owns the worker pool and the global verdict order.  Per submitted
 step it splits the transaction with the plan, mails each shard its
 sub-transaction, and pumps the workers round-robin; completed times
-merge in submission order (:mod:`repro.shard.merge`).
+merge in submission order (:mod:`repro.shard.merge`).  On the process
+transport the mail travels in frames of up to ``mailbox_capacity // 2``
+steps and comes back as frames of acknowledgements (see
+:mod:`repro.shard.worker`); the supervisor sees one
+:class:`~repro.shard.worker.WorkerAck` per ``pump`` either way.
 
 The robustness loop:
 
-* **bounded mailboxes** — a shard whose backlog exceeds the mailbox
+* **bounded mailboxes** — a shard whose backlog (queued for a frame,
+  sent, or acknowledged and not yet handed over) exceeds the mailbox
   capacity blocks further submission until it drains (dispatch-side
-  backpressure), and crossing the high-water mark arms the configured
-  ``pressure_deadline`` as a :class:`~repro.resilience.StepBudget` on
-  that worker's monitor (disarmed at the low-water mark) — the same
-  hysteresis the ingest queue applies;
+  backpressure), so a shard never has more than ``mailbox_capacity +
+  1`` steps in flight; crossing the high-water mark arms the
+  configured ``pressure_deadline`` as a
+  :class:`~repro.resilience.StepBudget` on that worker's monitor
+  (disarmed at the low-water mark) — the same hysteresis the ingest
+  queue applies;
 * **heartbeats** — liveness is counted in pump rounds, so it is
   deterministic: a live worker with a non-empty mailbox that produces
   nothing for ``stall_timeout`` consecutive pumps is declared stalled
@@ -61,6 +68,9 @@ SHARD_TOMBSTONES_TOTAL = "repro_shard_tombstones_total"
 SHARD_DEGRADED_FRAGMENTS_TOTAL = "repro_shard_degraded_fragments_total"
 SHARD_BACKPRESSURE_TOTAL = "repro_shard_backpressure_total"
 SHARD_MAILBOX_DEPTH = "repro_shard_mailbox_depth"
+SHARD_FRAMES_TOTAL = "repro_shard_frames_total"
+SHARD_FRAME_STEPS_TOTAL = "repro_shard_frame_steps_total"
+SHARD_FRAME_SECONDS = "repro_shard_frame_seconds"
 
 #: Pump rounds without any global progress before the supervisor gives
 #: up — a deadlock backstop far above any legitimate stall budget.
@@ -91,7 +101,8 @@ class ShardSupervisor:
             ``"process"`` (real OS-process isolation).
         chaos: optional :class:`~repro.resilience.ShardChaosPlan`.
         mailbox_capacity: per-shard backlog bound; dispatch blocks
-            (pumps) while any live shard exceeds it.
+            (pumps) while any live shard exceeds it.  Process workers
+            send frames of ``max(1, mailbox_capacity // 2)`` steps.
         stall_timeout: consecutive unproductive pumps after which a
             backlogged worker is declared stalled and killed.
         max_respawns: per-shard crash budget before tombstoning.
@@ -157,6 +168,8 @@ class ShardSupervisor:
         self.last_delivered = [-1] * n
         self.last_applied: List[Optional[Timestamp]] = [None] * n
         self._pressure_armed = [False] * n
+        #: the budget set_step_deadline installed, for respawns
+        self._step_deadline: Optional[tuple] = None
         self._fragments: Dict[int, Dict[int, StepReport]] = {}
         self._meta: Dict[int, Tuple[Timestamp, int]] = {}
         self._seq = 0
@@ -168,6 +181,8 @@ class ShardSupervisor:
         self.degraded_fragments = 0
         self.backpressure_engagements = 0
         self.max_depth = 0
+        self.frames = 0
+        self.frame_steps = 0
         self._closed = False
         # spawn last: the recovered path records into the counters above
         self.workers: List[object] = [
@@ -185,26 +200,49 @@ class ShardSupervisor:
     def _spawn(self, spec: WorkerSpec, recovered: bool = False):
         events = self._events[spec.shard]
         if self.transport == "process":
-            return ProcessWorker(spec, chaos=events, recovered=recovered)
+            worker = ProcessWorker(spec, chaos=events, recovered=recovered)
+            worker.frame_steps = max(1, self.mailbox_capacity // 2)
+            worker.on_frame = self._note_frame
+            worker.on_recovery = self._note_recovery
+            return worker
         if recovered:
-            monitor, replayed, result = recover_worker_monitor(spec)
-            self.recoveries.append({
-                "shard": spec.shard,
-                "checkpoint_time": result.checkpoint_time,
-                "replayed": len(result.replayed.steps),
-                "now": monitor.now,
-            })
-            self.replayed_steps += len(result.replayed.steps)
-            self._count(
-                SHARD_REPLAYED_TOTAL,
-                amount=len(result.replayed.steps),
-                shard=str(spec.shard),
-                help="Steps replayed from per-shard journals",
-            )
+            monitor, replayed, recovery = recover_worker_monitor(spec)
+            self._note_recovery(recovery)
             return InlineWorker(
                 spec, chaos=events, monitor=monitor, replayed=replayed
             )
         return InlineWorker(spec, chaos=events)
+
+    def _note_recovery(self, recovery: dict) -> None:
+        """A worker came back from its journal (inline: at once;
+        process: when the child reports ready)."""
+        self.recoveries.append(recovery)
+        self.replayed_steps += recovery["replayed"]
+        self._count(
+            SHARD_REPLAYED_TOTAL,
+            amount=recovery["replayed"],
+            shard=str(recovery["shard"]),
+            help="Steps replayed from per-shard journals",
+        )
+
+    def _note_frame(self, shard: int, steps: int, seconds: float) -> None:
+        """A frame's acknowledgements arrived (process transport)."""
+        self.frames += 1
+        self.frame_steps += steps
+        label = str(shard)
+        self._count(
+            SHARD_FRAMES_TOTAL, shard=label,
+            help="Step frames acknowledged by shard workers",
+        )
+        self._count(
+            SHARD_FRAME_STEPS_TOTAL, amount=steps, shard=label,
+            help="Steps carried by acknowledged frames",
+        )
+        if self.metrics is not None:
+            self.metrics.histogram(
+                SHARD_FRAME_SECONDS, shard=label,
+                help="Frame send to acknowledgement-frame receipt",
+            ).observe(seconds)
 
     def _record_fault(self, shard: int, kind: str, reason: str) -> None:
         worker = self.workers[shard]
@@ -286,8 +324,9 @@ class ShardSupervisor:
         if hasattr(worker, "kill"):
             worker.kill()
         # chaos events already consumed by the dead incarnation must
-        # not re-fire on redelivery (the process transport cannot mark
-        # them remotely, so prune by the crash step)
+        # not re-fire on redelivery: drop the fired ones (a dying child
+        # names its injection, see ProcessWorker) and whatever lies at
+        # or before the crash frontier
         crash_seq = min(self.pending[shard], default=self.last_delivered[shard])
         self._events[shard] = [
             e for e in self._events[shard]
@@ -297,6 +336,8 @@ class ShardSupervisor:
         self.workers[shard] = replacement
         self.stall_counts[shard] = 0
         self._pressure_armed[shard] = False
+        if self._step_deadline is not None:
+            replacement.set_step_deadline(*self._step_deadline)
         for seq, (time, txn) in sorted(self.pending[shard].items()):
             replacement.submit(seq, time, txn)
 
@@ -357,7 +398,7 @@ class ShardSupervisor:
 
     def _apply_pressure(self) -> None:
         """Arm/disarm per-worker step budgets as backlogs move."""
-        if self.pressure_deadline is None or self.transport != "inline":
+        if self.pressure_deadline is None:
             return
         low = max(1, self.mailbox_capacity // 4)
         for shard, worker in enumerate(self.workers):
@@ -366,13 +407,14 @@ class ShardSupervisor:
             if not self._pressure_armed[shard] and (
                 worker.depth >= self.mailbox_capacity
             ):
-                worker.monitor.set_step_deadline(
+                worker.set_step_deadline(
                     self.pressure_deadline, urgent=self.urgent
                 )
                 self._pressure_armed[shard] = True
                 self.backpressure_engagements += 1
             elif self._pressure_armed[shard] and worker.depth <= low:
-                worker.monitor.set_step_deadline(None)
+                # back to the budget the caller set, if any
+                worker.set_step_deadline(*(self._step_deadline or (None,)))
                 self._pressure_armed[shard] = False
 
     def _pump_round(self) -> bool:
@@ -484,13 +526,14 @@ class ShardSupervisor:
         return self._seq - self._next_emit
 
     def set_step_deadline(self, deadline, urgent=()) -> None:
-        """Forward a budget change to every live inline worker."""
+        """Forward a budget change to every live worker (and to the
+        respawns that replace them)."""
+        self._step_deadline = (
+            None if deadline is None else (deadline, tuple(urgent))
+        )
         for shard, worker in enumerate(self.workers):
-            if shard in self.tombstoned:
-                continue
-            monitor = getattr(worker, "monitor", None)
-            if monitor is not None:
-                monitor.set_step_deadline(deadline, urgent=urgent)
+            if shard not in self.tombstoned:
+                worker.set_step_deadline(deadline, urgent=urgent)
 
     # ------------------------------------------------------------------
     # reporting / shutdown
@@ -510,6 +553,10 @@ class ShardSupervisor:
             "backpressure_engagements": self.backpressure_engagements,
             "max_mailbox_depth": self.max_depth,
             "in_flight": self.in_flight,
+            "frames": self.frames,
+            "mean_frame_steps": (
+                self.frame_steps / self.frames if self.frames else 0.0
+            ),
         }
 
     def close(self) -> None:

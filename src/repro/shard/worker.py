@@ -5,29 +5,54 @@ own incremental checker and, when a journal root is configured, its
 own ``RunJournal`` under ``<root>/shard-NNNN/``) and processes the
 sub-transactions routed to its partition in submission order.
 
-Two transports share one protocol (``submit`` / ``pump`` / ``alive`` /
-``kill``):
+Two transports share one protocol (``submit`` / ``pump`` /
+``set_step_deadline`` / ``alive`` / ``kill``) and one serve routine,
+:meth:`ShardServer.serve`:
 
-* :class:`InlineWorker` — in-process and fully deterministic; the
-  chaos harness's injection points (kill-before-step, torn handoff,
-  stall) are exact, which is what the keystone equivalence tests need;
+* :class:`InlineWorker` — in-process and fully deterministic: one
+  mailbox item per ``pump``, so the chaos harness's injection points
+  (kill-before-step, torn handoff, stall) are exact, which is what the
+  keystone equivalence tests need;
 * :class:`ProcessWorker` — a real ``multiprocessing`` child behind a
   pipe, for genuine fault isolation (a crash is ``os._exit``, not a
   flag).
 
-Durability protocol: a worker journals every applied step (``sync``
-defaults on for shard journals) but *manages its own checkpoint
-cadence*, checkpointing only after the step's acknowledgement is on
-its way out.  The auto-cadence inside ``RunJournal`` would truncate
-the journal in the same call that appends the record, so a torn
-handoff (crash after apply+journal, before ack) at a checkpoint
-boundary would swallow the record and lose the verdict; with the
-worker-managed order the torn record is always still in the tail, and
-recovery replay regenerates the exact report the ack would have
-carried.
+Frames.  Steps and acknowledgements cross the pipe in *frames*, never
+one by one.  ``ProcessWorker.submit`` queues into an outbox that goes
+out as one ``("frame", items)`` message when it holds
+:attr:`ProcessWorker.frame_steps` items, or as soon as the child has
+no frame in flight (an idle child is sent its step at once, so a
+synchronous step is a frame of one, sent to every shard before the
+supervisor waits on any); the child answers each frame with one
+``("acks", [(seq, report, replayed), ...])`` message, which ``pump``
+hands out one :class:`WorkerAck` at a time without touching the pipe
+(a frame that begins with redelivered steps comes back in two: the
+replay answers leave before anything fresh is applied).  An item is a
+step ``(seq, time, txn)`` or the control item ``(None, deadline,
+urgent)``, a step-budget change applied between the steps around it.
+The other messages are the child's ``("ready", recovery)`` handshake,
+``("stop",)`` / ``("stopped",)``, and ``("crash", seq, mode)``, by
+which a chaos-killed child names the injection that fired.
+
+Durability protocol, per frame: a worker journals every applied step
+(``sync`` defaults on for shard journals) but commits the journal
+*once*, after the frame's last step, and only then sends the
+acknowledgements — **journal-then-ack**: no acknowledgement leaves a
+worker before the journal holds its step.  It also *manages its own
+checkpoint cadence*, checkpointing only after the acknowledgements
+are on their way out — **checkpoint-after-ack**.  The auto-cadence
+inside ``RunJournal`` would truncate the journal in the same call that
+appends the record, so a torn handoff (crash after apply+journal,
+before ack) at a checkpoint boundary would swallow the record and lose
+the verdict; with the worker-managed order the torn records are always
+still in the tail, and recovery replay regenerates the exact reports
+the acknowledgements would have carried.  A crash in the middle of a
+frame loses what the frame had applied and not yet committed — all of
+it unacknowledged, so the supervisor still holds every such step and
+redelivers it.
 
 A recovered worker answers redelivered steps at or before its restored
-frontier from the replay (:attr:`InlineWorker.replayed`) instead of
+frontier from the replay (:attr:`ShardServer.replayed`) instead of
 re-stepping — re-applying a transaction twice would corrupt the
 checker — and falls back to a *degraded* fragment (all its constraint
 names deferred) only when the verdict predates the last checkpoint and
@@ -39,7 +64,8 @@ from __future__ import annotations
 import os
 from collections import deque
 from pathlib import Path
-from typing import Dict, List, Optional
+from time import perf_counter
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.monitor import Monitor
 from repro.core.violations import StepReport
@@ -51,10 +77,8 @@ from repro.temporal.clock import Timestamp
 #: the worker checkpoints explicitly, after acking (see module doc).
 NEVER_CHECKPOINT = 1 << 60
 
-#: Exit codes a chaos-crashed worker process dies with (diagnosable in
-#: the supervisor's fault record).
-CRASH_EXIT_BEFORE = 17
-CRASH_EXIT_TORN = 18
+#: Exit codes a chaos-crashed worker process dies with, by crash mode.
+CRASH_EXIT = {"before": 17, "torn": 18}
 
 
 class WorkerSpec:
@@ -116,10 +140,11 @@ def build_worker_monitor(spec: WorkerSpec) -> Monitor:
 def recover_worker_monitor(spec: WorkerSpec):
     """Rebuild a shard monitor from its journal after a crash.
 
-    Returns ``(monitor, replayed, result)`` where ``replayed`` maps
+    Returns ``(monitor, replayed, recovery)`` where ``replayed`` maps
     each journal-replayed timestamp to the regenerated
     :class:`~repro.core.violations.StepReport` — the acknowledgements
-    the dead incarnation never delivered.
+    the dead incarnation never delivered — and ``recovery`` is the
+    plain-data summary the supervisor keeps.
     """
     monitor, result = Monitor.recover(
         spec.journal_dir,
@@ -127,7 +152,13 @@ def recover_worker_monitor(spec: WorkerSpec):
         checkpoint_every=NEVER_CHECKPOINT,
     )
     replayed = {report.time: report for report in result.replayed.steps}
-    return monitor, replayed, result
+    recovery = {
+        "shard": spec.shard,
+        "checkpoint_time": result.checkpoint_time,
+        "replayed": len(replayed),
+        "now": monitor.now,
+    }
+    return monitor, replayed, recovery
 
 
 def degraded_fragment(time, constraints) -> StepReport:
@@ -161,12 +192,12 @@ class WorkerAck:
         return f"WorkerAck(shard={self.shard}, seq={self.seq}{mark})"
 
 
-class InlineWorker:
-    """Deterministic in-process worker with exact chaos injection.
+class ShardServer:
+    """One incarnation of a shard: its monitor, and how it serves.
 
-    The supervisor drives it by discrete ``pump()`` calls — one
-    mailbox item per pump — so stalls, crashes, and backpressure are
-    reproducible pump-for-pump in tests.
+    Both transports answer through :meth:`serve` — the inline worker
+    with frames of one item, the child process with whatever frame the
+    pipe delivered.
 
     Args:
         spec: the shard's build recipe.
@@ -177,10 +208,6 @@ class InlineWorker:
             recovered one).
         replayed: journal-replayed reports by timestamp (respawn path).
     """
-
-    transport = "inline"
-    #: inline workers have no startup latency — always heartbeat-ready
-    ready = True
 
     def __init__(
         self,
@@ -194,16 +221,119 @@ class InlineWorker:
         self.monitor = monitor if monitor is not None else (
             build_worker_monitor(spec)
         )
+        if self.monitor.journal is not None:
+            # serve() commits once per frame
+            self.monitor.journal.group_commit = True
         self.chaos = list(chaos or ())
         self.replayed = dict(replayed or {})
-        self.mailbox: deque = deque()
-        self.dead = False
-        self.crash_mode: Optional[str] = None
         #: steps applied by THIS incarnation (a respawn starts at 0 —
         #: the replay-not-reprocess assertions key off this)
         self.steps_applied = 0
-        self._stall = 0
         self._since_checkpoint = 0
+
+    def chaos_event(self, seq: int, modes: Sequence[str]) -> Optional[dict]:
+        """Fire (at most once) the injected event at ``seq``, if any."""
+        for event in self.chaos:
+            if (
+                not event.get("fired")
+                and event.get("step") == seq
+                and event.get("mode") in modes
+            ):
+                event["fired"] = True
+                return event
+        return None
+
+    def serve(
+        self,
+        items: Sequence[tuple],
+        send: Callable[[List[tuple]], None],
+        die: Callable[[int, str], None],
+    ) -> None:
+        """Serve one frame: apply, commit the journal, acknowledge.
+
+        ``send`` receives the frame's acknowledgements — ``(seq,
+        report, replayed)`` per step — after the journal commit that
+        covers them has returned (and once before that, for the replay
+        answers a redelivered frame begins with); the checkpoint, when
+        its cadence is reached, comes after ``send``.  ``die(seq,
+        mode)`` is the injected crash (a process exit, or the inline
+        worker's flag): *before* a step it takes the frame's
+        uncommitted records with it, a *torn* handoff commits them and
+        dies unacknowledged.
+        """
+        monitor = self.monitor
+        journal = monitor.journal
+        acks: List[tuple] = []
+        applied = 0
+        for seq, time, txn in items:
+            if seq is None:
+                monitor.set_step_deadline(time, urgent=txn)
+                continue
+            now = monitor.now
+            if now is not None and time <= now:
+                # Redelivered step this incarnation already holds: answer
+                # from the journal replay; a pre-checkpoint verdict is
+                # unrecoverable and degrades explicitly.
+                report = self.replayed.get(time)
+                if report is None:
+                    report = degraded_fragment(time, monitor.constraints)
+                acks.append((seq, report, True))
+                continue
+            if acks and not applied:
+                # replay answers live only in this incarnation's memory
+                # (re-attaching the journal checkpointed past them):
+                # they leave before a fresh step can take it down
+                send(acks)
+                acks = []
+            event = self.chaos_event(seq, ("before", "torn"))
+            if event is not None and event["mode"] == "before":
+                # died before applying: nothing of this step journaled,
+                # the supervisor redelivers to the respawn
+                return die(seq, "before")
+            report = monitor.step(time, txn)
+            self.steps_applied += 1
+            applied += 1
+            if event is not None:
+                # died after apply+journal, before ack: the records are
+                # in the journal tail, replay regenerates these reports
+                if journal is not None:
+                    journal.commit()
+                return die(seq, "torn")
+            acks.append((seq, report, False))
+        if journal is not None:
+            if applied:
+                journal.commit()
+            self._since_checkpoint += applied
+        send(acks)
+        if self._since_checkpoint >= self.spec.checkpoint_every:
+            monitor.checkpoint()
+            self._since_checkpoint = 0
+
+    def close(self) -> None:
+        """Release the journal (file handle and writer lock)."""
+        if self.monitor.journal is not None:
+            self.monitor.journal.close()
+
+
+class InlineWorker(ShardServer):
+    """Deterministic in-process worker with exact chaos injection.
+
+    The supervisor drives it by discrete ``pump()`` calls — one
+    mailbox item per pump, served as a frame of one — so stalls,
+    crashes, and backpressure are reproducible pump-for-pump in tests.
+    Constructor arguments are :class:`ShardServer`'s.
+    """
+
+    transport = "inline"
+    #: inline workers have no startup latency — always heartbeat-ready
+    ready = True
+
+    def __init__(self, spec, chaos=None, monitor=None, replayed=None):
+        super().__init__(spec, chaos, monitor, replayed)
+        self.mailbox: deque = deque()
+        self.dead = False
+        self.crash_mode: Optional[str] = None
+        self._stall = 0
 
     @property
     def alive(self) -> bool:
@@ -217,12 +347,14 @@ class InlineWorker:
     def submit(self, seq: int, time: Timestamp, txn: Transaction) -> None:
         self.mailbox.append((seq, time, txn))
 
-    def _chaos_event(self, seq: int) -> Optional[dict]:
-        for event in self.chaos:
-            if not event.get("fired") and event.get("step") == seq:
-                event["fired"] = True
-                return event
-        return None
+    def set_step_deadline(self, deadline, urgent=()) -> None:
+        """Install or clear the step budget, at once: the monitor is in
+        this process and between two steps whenever this is called."""
+        self.monitor.set_step_deadline(deadline, urgent=urgent)
+
+    def _die(self, seq: int, mode: str) -> None:
+        self.dead = True
+        self.crash_mode = mode
 
     def pump(self) -> Optional[WorkerAck]:
         """Process at most one mailbox item; return its ack, if any.
@@ -239,58 +371,23 @@ class InlineWorker:
             return None
         if not self.mailbox:
             return None
-        seq, time, txn = self.mailbox[0]
+        seq, time, _ = self.mailbox[0]
         now = self.monitor.now
-        if now is not None and time <= now:
-            # Redelivered step this incarnation already holds: answer
-            # from the journal replay; a pre-checkpoint verdict is
-            # unrecoverable and degrades explicitly.
-            self.mailbox.popleft()
-            report = self.replayed.get(time)
-            if report is None:
-                report = degraded_fragment(time, self.monitor.constraints)
-            return WorkerAck(self.shard, seq, report, replayed=True)
-        event = self._chaos_event(seq)
-        if event is not None:
-            mode = event.get("mode")
-            if mode == "stall":
+        if now is None or time > now:
+            event = self.chaos_event(seq, ("stall",))
+            if event is not None:
                 self._stall = int(event.get("duration", 1))
                 return None
-            if mode == "before":
-                # died before applying: nothing journaled, the
-                # supervisor redelivers to the respawn
-                self.dead = True
-                self.crash_mode = "before"
-                return None
-        self.mailbox.popleft()
-        report = self.monitor.step(time, txn)
-        self.steps_applied += 1
-        if event is not None and event.get("mode") == "torn":
-            # died after apply+journal, before ack: the record is in
-            # the journal tail, replay regenerates this exact report
-            self.dead = True
-            self.crash_mode = "torn"
+        acks: List[tuple] = []
+        self.serve([self.mailbox.popleft()], acks.extend, self._die)
+        if not acks:
             return None
-        self._maybe_checkpoint()
-        return WorkerAck(self.shard, seq, report, replayed=False)
-
-    def _maybe_checkpoint(self) -> None:
-        if self.monitor.journal is None:
-            return
-        self._since_checkpoint += 1
-        if self._since_checkpoint >= self.spec.checkpoint_every:
-            self.monitor.checkpoint()
-            self._since_checkpoint = 0
+        return WorkerAck(self.shard, *acks[0])
 
     def kill(self) -> None:
         """Tear the worker down (crash cleanup or tombstoning)."""
         self.dead = True
         self.close()
-
-    def close(self) -> None:
-        """Release the journal (file handle and writer lock)."""
-        if self.monitor.journal is not None:
-            self.monitor.journal.close()
 
     def __repr__(self) -> str:
         state = "dead" if self.dead else f"depth={self.depth}"
@@ -305,54 +402,34 @@ def _worker_main(conn, spec: WorkerSpec, chaos: List[dict],
                  recovered: bool) -> None:
     """Child-process loop: rebuild the monitor, serve the pipe."""
     if recovered:
-        monitor, replayed, _ = recover_worker_monitor(spec)
+        monitor, replayed, recovery = recover_worker_monitor(spec)
+        server = ShardServer(spec, chaos, monitor, replayed)
     else:
-        monitor = build_worker_monitor(spec)
-        replayed = {}
+        server, recovery = ShardServer(spec, chaos), None
     # readiness handshake: imports + journal replay can take long
     # enough that the supervisor's heartbeat would otherwise count the
     # warm-up as a stall and kill a healthy child
-    conn.send(("ready",))
-    chaos = list(chaos)
-    since = 0
+    conn.send(("ready", recovery))
+
+    def send(acks: List[tuple]) -> None:
+        conn.send(("acks", acks))
+
+    def die(seq: int, mode: str) -> None:
+        # the supervisor prunes fired injections before it respawns;
+        # its copy of the chaos plan cannot see this process's marks
+        conn.send(("crash", seq, mode))
+        os._exit(CRASH_EXIT[mode])
+
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
             break
-        kind = message[0]
-        if kind == "stop":
-            if monitor.journal is not None:
-                monitor.journal.close()
+        if message[0] == "stop":
+            server.close()
             conn.send(("stopped",))
             break
-        if kind == "ping":
-            conn.send(("pong",))
-            continue
-        _, seq, time, txn = message
-        now = monitor.now
-        if now is not None and time <= now:
-            report = replayed.get(time)
-            if report is None:
-                report = degraded_fragment(time, monitor.constraints)
-            conn.send(("ack", seq, report, True))
-            continue
-        event = None
-        for candidate in chaos:
-            if not candidate.get("fired") and candidate.get("step") == seq:
-                candidate["fired"] = True
-                event = candidate
-                break
-        if event is not None and event.get("mode") == "before":
-            os._exit(CRASH_EXIT_BEFORE)
-        report = monitor.step(time, txn)
-        if event is not None and event.get("mode") == "torn":
-            os._exit(CRASH_EXIT_TORN)
-        conn.send(("ack", seq, report, False))
-        since += 1
-        if monitor.journal is not None and since >= spec.checkpoint_every:
-            monitor.checkpoint()
-            since = 0
+        server.serve(message[1], send, die)
 
 
 class ProcessWorker:
@@ -365,6 +442,15 @@ class ProcessWorker:
     """
 
     transport = "process"
+    #: outbox size that sends a frame while the child is still busy
+    #: with an earlier one; the supervisor sets it to half its mailbox
+    #: capacity
+    frame_steps = 1
+    #: supervisor hooks: ``on_frame(shard, steps, seconds)`` when a
+    #: frame's acknowledgements arrive (seconds from its send), and
+    #: ``on_recovery(recovery)`` when a respawned child reports ready
+    on_frame: Optional[Callable[[int, int, float], None]] = None
+    on_recovery: Optional[Callable[[dict], None]] = None
 
     def __init__(
         self,
@@ -378,6 +464,7 @@ class ProcessWorker:
         self.spec = spec
         self.shard = spec.shard
         self.poll_timeout = poll_timeout
+        self.chaos = list(chaos or ())
         self.steps_applied = 0
         self.dead = False
         #: set once the child reports its monitor is built/recovered;
@@ -388,12 +475,20 @@ class ProcessWorker:
         #: only once they are drained
         self._broken = False
         self.crash_mode: Optional[str] = None
-        self._inflight: deque = deque()
+        #: items queued for the next frame
+        self._outbox: List[tuple] = []
+        #: [steps unanswered, steps, send time] of every frame in flight
+        self._frames: deque = deque()
+        #: acknowledgements received and not yet handed out
+        self._acks: deque = deque()
+        #: steps submitted and not yet handed back: outbox + sent +
+        #: acknowledged-but-buffered
+        self.depth = 0
         ctx = multiprocessing.get_context()
         self._conn, child = ctx.Pipe()
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child, spec, list(chaos or ()), recovered),
+            args=(child, spec, self.chaos, recovered),
             daemon=True,
         )
         self.process.start()
@@ -401,52 +496,92 @@ class ProcessWorker:
 
     @property
     def alive(self) -> bool:
-        # a dead child's buffered acknowledgements stay readable after
-        # it exits; the worker counts as alive until they are drained,
-        # so the supervisor computes the crash frontier from a fully
-        # acknowledged pending set
+        # a dead child's acknowledgements stay readable after it exits
+        # (here or still in the pipe); the worker counts as alive until
+        # they are drained, so the supervisor computes the crash
+        # frontier from a fully acknowledged pending set
         if self.dead:
             return False
+        if self._acks:
+            return True
         if (
             self._broken or not self.process.is_alive()
         ) and not self._conn.poll():
             self.dead = True
         return not self.dead
 
-    @property
-    def depth(self) -> int:
-        return len(self._inflight)
-
     def submit(self, seq: int, time: Timestamp, txn: Transaction) -> None:
-        self._inflight.append(seq)
+        self.depth += 1
+        self._outbox.append((seq, time, txn))
+        if len(self._outbox) >= self.frame_steps or not self._frames:
+            # full, or the child has nothing in flight: waiting for
+            # more would only leave it idle
+            self._send_frame()
+
+    def set_step_deadline(self, deadline, urgent=()) -> None:
+        """Install or clear the child's step budget, in band: it takes
+        effect after the steps already submitted."""
+        self._outbox.append((None, deadline, tuple(urgent)))
+
+    def _send_frame(self) -> None:
+        items, self._outbox = self._outbox, []
+        steps = sum(1 for item in items if item[0] is not None)
+        self._frames.append([steps, steps, perf_counter()])
         try:
-            self._conn.send(("step", seq, time, txn))
+            self._conn.send(("frame", items))
         except (BrokenPipeError, OSError):
             self._broken = True
 
     def pump(self) -> Optional[WorkerAck]:
+        """Hand out one acknowledgement, going to the pipe only when
+        none is buffered."""
         if self.dead:
             return None
+        if not self._acks:
+            self._exchange()
+            if not self._acks:
+                return None
+        seq, report, replayed = self._acks.popleft()
+        self.depth -= 1
+        if not replayed:
+            self.steps_applied += 1
+        return WorkerAck(self.shard, seq, report, replayed)
+
+    def _exchange(self) -> None:
+        """Read at most one message; first send the outbox when the
+        child has nothing in flight and would never answer otherwise."""
+        if self._outbox and not self._frames:
+            self._send_frame()
         try:
             if not self._conn.poll(self.poll_timeout):
                 if self._broken or not self.process.is_alive():
                     self.dead = True
-                return None
+                return
             message = self._conn.recv()
         except (EOFError, OSError):
             self.dead = True
-            return None
-        if message[0] == "ready":
+            return
+        kind = message[0]
+        if kind == "acks":
+            self._acks.extend(message[1])
+            frame = self._frames[0]
+            frame[0] -= len(message[1])
+            if frame[0] <= 0:
+                # a frame that began with replay answers came back in two
+                _, steps, sent = self._frames.popleft()
+                if self.on_frame is not None:
+                    self.on_frame(self.shard, steps, perf_counter() - sent)
+        elif kind == "ready":
             self.ready = True
-            return None
-        if message[0] != "ack":
-            return None
-        _, seq, report, replayed = message
-        if seq in self._inflight:
-            self._inflight.remove(seq)
-        if not replayed:
-            self.steps_applied += 1
-        return WorkerAck(self.shard, seq, report, replayed)
+            if message[1] is not None and self.on_recovery is not None:
+                self.on_recovery(message[1])
+        elif kind == "crash":
+            _, seq, self.crash_mode = message
+            for event in self.chaos:
+                if event.get("step") == seq and (
+                    event.get("mode") == self.crash_mode
+                ):
+                    event["fired"] = True
 
     def kill(self) -> None:
         self.dead = True

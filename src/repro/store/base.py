@@ -245,9 +245,10 @@ class StateStore(ABC):
     """Abstract durability backend behind checkpoint/journal machinery.
 
     Lifecycle: construct → (``load`` for recovery | ``checkpoint`` for
-    a fresh attach) → ``append`` per committed step → periodic
-    ``checkpoint`` → ``close``.  Implementations own their files and
-    locking; callers never touch paths directly.
+    a fresh attach) → ``append`` per committed step (or ``write`` per
+    step and one ``commit`` per group) → periodic ``checkpoint`` →
+    ``close``.  Implementations own their files and locking; callers
+    never touch paths directly.
     """
 
     #: whether this backend persists across processes
@@ -256,6 +257,15 @@ class StateStore(ABC):
     @abstractmethod
     def append(self, record: dict) -> None:
         """Durably append one journal record (a committed step)."""
+
+    def write(self, record: dict) -> None:
+        """Append one journal record without committing it; durable
+        only once :meth:`commit` returns.  Backends with nothing to
+        amortise commit per record."""
+        self.append(record)
+
+    def commit(self) -> None:
+        """Make every record handed to :meth:`write` durable."""
 
     @abstractmethod
     def checkpoint(self, document: dict,

@@ -152,6 +152,8 @@ class SegmentStore(StateStore):
         #: lenient load: the valid prefix length to truncate to before
         #: the first append, so new records never land behind damage
         self._truncate_tail: Optional[int] = None
+        #: records written to the segment since the last commit
+        self._uncommitted = False
         self._epoch = self._discover_epoch()
         self._records_written = 0
         self._checkpoints_written = 0
@@ -244,7 +246,10 @@ class SegmentStore(StateStore):
 
     def _open_segment(self, epoch: int, truncate: bool = False) -> None:
         if self._fh is not None:
+            # closing flushes; what was written and not committed is
+            # covered by the checkpoint this rotation belongs to
             self._fh.close()
+            self._uncommitted = False
         path = self.directory / segment_name(epoch)
         if truncate:
             # rotation starts a fresh segment; any recorded tail
@@ -264,16 +269,32 @@ class SegmentStore(StateStore):
         self._fh = open(path, mode)
 
     def append(self, record: dict) -> None:
-        """Append one framed journal record to the active segment."""
+        """Append one framed journal record and commit it."""
+        self.write(record)
+        self.commit()
+
+    def write(self, record: dict) -> None:
+        """Frame one journal record into the active segment's buffer.
+
+        Nothing is promised about it until :meth:`commit` returns.
+        """
         self._check_open()
         if self._fh is None:
             self._open_segment(max(self._epoch, 0))
         self._fh.write(encode_record(record))
+        self._uncommitted = True
+        self._records_written += 1
+
+    def commit(self) -> None:
+        """Make every written record durable: flush, then fsync when
+        ``sync`` — the two ``record_*_fsync`` crash windows."""
+        if not self._uncommitted:
+            return
         self._fh.flush()
         self._failpoint("record_pre_fsync")
         fsync_file(self._fh, self.sync)
         self._failpoint("record_post_fsync")
-        self._records_written += 1
+        self._uncommitted = False
 
     def checkpoint(self, document: dict,
                    cold_rows: Optional[Dict[str, list]] = None) -> None:

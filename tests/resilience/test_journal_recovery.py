@@ -76,6 +76,19 @@ class TestRunJournal:
         ]
         assert monitor.journal.records_written == 5
 
+    def test_group_commit_holds_records_until_the_owner_commits(
+        self, schema, tmp_path
+    ):
+        monitor = make_monitor(schema)
+        journal = monitor.enable_journal(tmp_path / "j", checkpoint_every=100)
+        journal.group_commit = True
+        for t, txn in stream(3):
+            monitor.step(t, txn)
+        assert journal.records_written == 3
+        assert journal_times(journal) == []  # a crash now loses all 3
+        journal.commit()
+        assert journal_times(journal) == [t for t, _ in stream(3)]
+
     def test_auto_checkpoint_rotates_the_journal(self, schema, tmp_path):
         monitor = make_monitor(schema)
         monitor.enable_journal(tmp_path / "j", checkpoint_every=3)

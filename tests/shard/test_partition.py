@@ -152,6 +152,31 @@ class TestRouting:
         for v in (0, 1, 17, "alice"):
             assert p.route(v) == stable_hash(v) % 4
 
+    def test_memoised_routes_keep_equal_keys_of_other_types_apart(self):
+        # 1, 1.0 and True are ONE dict key; each must still route by
+        # its own type-tagged digest, whichever was seen first
+        for first in (1, 1.0, True):
+            p = plan(shards=64)
+            p.route(first)
+            for v in (1, 1.0, True, "1"):
+                assert p.route(v) == stable_hash(v) % 64
+                assert p.route(v) == stable_hash(v) % 64  # memo hit
+
+    def test_unmemoised_values_fall_through_to_the_digest(self):
+        p = plan(shards=64)
+        for v in (0.0, -0.0, [1, 2], (1, 2.0)):
+            assert p.route(v) == stable_hash(v) % 64
+        assert p._routes == {}
+
+    def test_route_memo_is_bounded(self, monkeypatch):
+        from repro.shard import partition
+
+        monkeypatch.setattr(partition, "ROUTE_MEMO_LIMIT", 8)
+        p = plan(shards=4)
+        for v in range(100):
+            assert p.route(v) == stable_hash(v) % 4
+            assert len(p._routes) <= 8
+
     def test_split_routes_keyed_and_broadcasts_unkeyed(self):
         p = plan(shards=2)
         txn = Transaction(

@@ -78,6 +78,56 @@ class TestAppendLoad:
         store.close()  # idempotent
 
 
+class TestWriteCommit:
+    def test_written_records_become_readable_at_commit(self, store):
+        for t in (1, 2, 3):
+            store.write({"t": t})
+        assert store.load().records == []  # still in the buffer
+        store.commit()
+        assert [r["t"] for r in store.load().records] == [1, 2, 3]
+        assert store.records_written == 3
+
+    def test_one_commit_passes_the_record_failpoints_once(
+        self, store, monkeypatch
+    ):
+        hits = []
+        monkeypatch.setattr(store, "_failpoint", hits.append)
+        for t in (1, 2, 3):
+            store.write({"t": t})
+        store.commit()
+        store.commit()  # nothing written since: no flush, no failpoint
+        assert hits == ["record_pre_fsync", "record_post_fsync"]
+        store.append({"t": 4})  # the single-record path commits itself
+        assert hits == ["record_pre_fsync", "record_post_fsync"] * 2
+
+    def test_commit_failpoint_leaves_the_group_recoverable(self, tmp_path):
+        with SegmentStore(
+            tmp_path / "s", failpoints=("record_post_fsync",)
+        ) as store:
+            store.write({"t": 1})
+            store.write({"t": 2})
+            with pytest.raises(SimulatedCrash):
+                store.commit()
+        with SegmentStore(tmp_path / "s") as store:
+            assert [r["t"] for r in store.load().records] == [1, 2]
+
+    def test_checkpoint_covers_uncommitted_records(self, store, monkeypatch):
+        store.write({"t": 1})
+        store.checkpoint(checkpoint_doc(1))
+        hits = []
+        monkeypatch.setattr(store, "_failpoint", hits.append)
+        store.commit()  # the rotation left nothing to commit
+        assert hits == []
+        assert store.load().records == []
+
+    def test_memory_store_commits_every_write(self):
+        memory = MemoryStore()
+        memory.write({"t": 1})
+        assert [r["t"] for r in memory.load().records] == [1]
+        memory.commit()
+        assert [r["t"] for r in memory.load().records] == [1]
+
+
 class TestRotationAndRetention:
     def test_checkpoint_rotates_to_a_new_segment(self, store):
         store.checkpoint(checkpoint_doc(0))
