@@ -39,8 +39,10 @@ entry per state: a resident valuation costs nothing per step, and a
 step touches only the valuations entering or leaving the operand, the
 runs whose start crosses ``t - low`` (an entry queue) and the runs
 whose end crosses ``t - high`` (an expiry queue).  The virtual table is
-patched by exactly those crossings, which is also the delta it reports
-upward (:meth:`repro.db.algebra.Table.delta_from`).
+the state's own and is patched in place by exactly those crossings,
+which is also the delta it reports upward
+(:meth:`repro.db.algebra.Table.delta_since`); operand tables are read
+the same way, by the version they were at the step before.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from typing import (
 
 from repro.core.formulas import Formula, Once, Prev, Since
 from repro.core.intervals import Interval
-from repro.db.algebra import Table
+from repro.db.algebra import UNCHANGED, Delta, Table
 from repro.db.types import Row
 from repro.errors import MonitorError
 from repro.temporal.clock import Timestamp
@@ -105,6 +107,9 @@ class AuxiliaryState:
     #: (entries into ``t - low``, expiries past ``t - high``); PREV has
     #: no window to maintain
     bound_visits = 0
+    #: stored candidates examined so far for whether they survive the
+    #: new state; only SINCE has a survival test
+    survival_checks = 0
 
     def advance(self, time: Timestamp, evaluate_now: EvalFn) -> Table:
         """Process one new state; return the node's virtual table.
@@ -116,7 +121,9 @@ class AuxiliaryState:
                 tables); accepts an optional context table.
 
         Returns:
-            The satisfying valuations of the temporal node at ``time``.
+            The satisfying valuations of the temporal node at ``time``:
+            a table the state goes on patching at later steps, so a
+            caller that keeps it past the step takes a ``snapshot()``.
         """
         raise NotImplementedError
 
@@ -187,30 +194,58 @@ class AuxiliaryState:
 
 
 class PrevState(AuxiliaryState):
-    """Auxiliary state for ``PREV[I] f``."""
+    """Auxiliary state for ``PREV[I] f``.
 
-    __slots__ = ("formula", "_last_time", "_last_table")
+    The operand's table is patched in place by its owner, so last
+    step's cannot be had by holding on to it: the state keeps a table
+    of its own one patch behind the operand — the operand at the
+    previous state, which is the virtual table while a step runs — and
+    the change that brings it up to date when the next step begins.
+    """
+
+    __slots__ = (
+        "formula", "_last_time", "_table", "_pending", "_operand", "_empty",
+    )
     kind = "prev"
 
     def __init__(self, formula: Prev):
         self.formula = formula
         self._last_time: Optional[Timestamp] = None
-        self._last_table: Table = Table.empty(_header(formula))
+        self._empty = Table.empty(_header(formula))
+        self._hold(Table.owned(_header(formula), ()))
+
+    def _hold(self, table: Table) -> None:
+        """Start over from the operand's ``table`` at the latest state."""
+        self._table = table
+        #: what turns ``_table`` into the operand at the latest state
+        self._pending: Delta = UNCHANGED
+        #: mark of the operand's table as last read (the latest state)
+        self._operand = table.mark()
 
     def advance(self, time: Timestamp, evaluate_now: EvalFn) -> Table:
+        table = self._table
+        table.patch(*self._pending)
         if (
             self._last_time is not None
             and self.formula.interval.contains(time - self._last_time)
         ):
-            virtual = self._last_table
+            virtual = table
         else:
-            virtual = Table.empty(_header(self.formula))
+            virtual = self._empty
         # the *new* state's operand table becomes next step's answer
-        self._last_table = evaluate_now(self.formula.operand).project(
-            _header(self.formula)
+        operand = evaluate_now(self.formula.operand).project(table.columns)
+        self._pending = operand.delta_since(self._operand) or (
+            operand.rows - table.rows, table.rows - operand.rows
         )
+        self._operand = operand.mark()
         self._last_time = time
         return virtual
+
+    @property
+    def _last_table(self) -> Table:
+        """The operand at the latest state (its owner's table: read it
+        before the next step)."""
+        return self._operand[0]
 
     def dump(self) -> Dict[str, object]:
         return {
@@ -225,9 +260,9 @@ class PrevState(AuxiliaryState):
     def load(self, entry: Dict[str, object]) -> None:
         self._check_kind(entry)
         self._last_time = entry["last_time"]
-        self._last_table = Table(
+        self._hold(Table.owned(
             tuple(entry["columns"]), [tuple(r) for r in entry["rows"]]
-        )
+        ))
 
     def anchors_of(self, valuation: Row) -> Optional[List[Timestamp]]:
         # one state of lookback: the operand either held at the last
@@ -647,42 +682,48 @@ class _AnchorMap:
 
 class _AnchoredState(AuxiliaryState):
     """What ``ONCE`` and ``SINCE`` share: an anchor map fed by the delta
-    of the anchor formula's table, and a virtual table patched by the
-    valuations crossing the window bounds."""
+    of the anchor formula's table, and a virtual table of the state's
+    own, patched in place by the valuations crossing the window bounds."""
 
-    __slots__ = ("formula", "_columns", "_anchors", "_holding", "_virtual")
+    __slots__ = (
+        "formula", "_columns", "_anchors", "_holding", "_virtual", "_empty",
+    )
 
     def __init__(self, formula: Formula, collapse_unbounded: bool = True):
         self.formula = formula
         self._columns = _header(formula)
         self._anchors = _AnchorMap(formula.interval, collapse_unbounded)
-        #: the anchor formula's table at the latest state (``None``
-        #: before the first step and after a restore)
-        self._holding: Optional[Table] = None
-        #: valuations with an anchor at least ``low`` old, as a table
-        #: patched from step to step
+        self._empty = Table.empty(self._columns)
+        self._forget()
+
+    def _forget(self) -> None:
+        """Drop what is derived from the anchors and from earlier reads
+        (nothing of it exists before the first step or after a restore)."""
+        #: mark of the anchor formula's table as last read
+        self._holding: Optional[Tuple[Table, int]] = None
+        #: valuations with an anchor at least ``low`` old
         self._virtual: Optional[Table] = None
 
     def _fold(self, time: Timestamp, holding: Table) -> Table:
         """Fold the anchor formula's new table in; emit the virtual
-        table.  A table that *is* last step's costs O(1) here."""
-        previous = self._holding
-        if previous is None:
+        table.  The table read last step costs its patch here, any
+        other is looked at row by row."""
+        delta = holding.delta_since(self._holding)
+        if delta is None:
             self._anchors.observe(time, holding.rows, None)
         else:
-            entered, left = holding.delta_from(previous)
-            self._anchors.observe(time, holding.rows, entered, left)
-        self._holding = holding
+            self._anchors.observe(time, holding.rows, *delta)
+        self._holding = holding.mark()
         gained, lost = self._anchors.take_satisfied_delta()
         if self._virtual is None:
-            self._virtual = Table._trusted(
+            self._virtual = Table.owned(
                 self._columns, self._anchors.satisfied()
             )
         else:
-            self._virtual = self._virtual.with_changes(gained, lost)
+            self._virtual.patch(gained, lost)
         if self._anchors.window_has_state(time):
             return self._virtual
-        return Table._trusted(self._columns, ())
+        return self._empty
 
     def dump(self) -> Dict[str, object]:
         return {"type": self.kind, "anchors": self._anchors.dump()}
@@ -690,8 +731,7 @@ class _AnchoredState(AuxiliaryState):
     def load(self, entry: Dict[str, object]) -> None:
         self._check_kind(entry)
         self._anchors.load(entry["anchors"])
-        self._holding = None
-        self._virtual = None
+        self._forget()
 
     def anchors_of(self, valuation: Row) -> Optional[List[Timestamp]]:
         return self._anchors.anchors_of(valuation)
@@ -731,42 +771,64 @@ class OnceState(_AnchoredState):
 class SinceState(_AnchoredState):
     """Auxiliary state for ``f SINCE[I] g``."""
 
-    __slots__ = ("_candidates",)
+    __slots__ = ("_candidates", "_survivors", "_dropped", "survival_checks")
     kind = "since"
 
     def __init__(self, formula: Since, collapse_unbounded: bool = True):
         # columns == sorted fv(g), as fv(f) ⊆ fv(g)
         super().__init__(formula, collapse_unbounded)
-        #: the stored valuations as a table, patched from step to step:
-        #: the context the left operand is evaluated in
+        self.survival_checks = 0
+
+    def _forget(self) -> None:
+        super()._forget()
+        #: the stored valuations as a table of the state's own, brought
+        #: up to date when a step begins: the context the left operand
+        #: is evaluated in
         self._candidates: Optional[Table] = None
+        #: mark of the table of candidates the left operand held for
+        self._survivors: Optional[Tuple[Table, int]] = None
+        #: the candidates last step's survival test dropped
+        self._dropped: Iterable[Row] = ()
 
     def advance(self, time: Timestamp, evaluate_now: EvalFn) -> Table:
         anchors = self._anchors
-        if self._candidates is None:
-            self._candidates = Table._trusted(self._columns, anchors.stored())
+        stored, gone = anchors.take_stored_delta()
+        candidates = self._candidates
+        if candidates is None:
+            candidates = self._candidates = Table.owned(
+                self._columns, anchors.stored()
+            )
+        else:
+            candidates.patch(stored, gone)
         # 1. survival: existing anchors need the left operand to hold
         #    for their valuation at the new state
-        candidates = self._candidates
+        dropped: Iterable[Row] = ()
         if candidates.rows:
             survivors = evaluate_now(self.formula.left, candidates)
-            for valuation in candidates.rows.difference(
+            delta = survivors.delta_since(self._survivors)
+            self._survivors = survivors.mark()
+            if delta is None:
+                suspects = candidates.rows
+            else:
+                # a stored candidate survived last step or was anchored
+                # during it (for the first time, or again after it was
+                # dropped): only those can have to go
+                suspects = candidates.rows.intersection(
+                    delta[1].union(stored, self._dropped)
+                )
+            self.survival_checks += len(suspects)
+            dropped = suspects.difference(
                 survivors._aligned_rows(self._columns)
-            ):
+            )
+            for valuation in dropped:
                 anchors.remove(valuation)
+        self._dropped = dropped
         # 2. new anchors from the right operand (no survival test:
         #    SINCE requires the left operand strictly *after* the
         #    anchor), 3. metric pruning
-        virtual = self._fold(
+        return self._fold(
             time, evaluate_now(self.formula.right).project(self._columns)
         )
-        stored, dropped = anchors.take_stored_delta()
-        self._candidates = candidates.with_changes(stored, dropped)
-        return virtual
-
-    def load(self, entry: Dict[str, object]) -> None:
-        super().load(entry)
-        self._candidates = None
 
 
 def make_auxiliary(

@@ -38,7 +38,7 @@ from repro.core.normalize import canonicalize_variant, normalize
 from repro.core.parser import parse
 from repro.core.safety import check_node_conditions, check_safe
 from repro.core.views import StateProvider, View
-from repro.db.algebra import Table
+from repro.db.algebra import Delta, Table
 from repro.db.database import DatabaseState
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
@@ -179,7 +179,9 @@ class IncrementalChecker(Engine):
                 schema, [(c.name, c.formula) for c in constraints]
             )
         super().__init__(schema, constraints, instrumentation)
-        self.state = self._base_state(initial)
+        #: the current state: the checker's own copy, patched in place
+        #: step by step (``initial`` stays the caller's)
+        self.state = self._base_state(initial).owned_copy()
         self.collapse_unbounded = collapse_unbounded
         self.share_subformulas = bool(share_subformulas)
         # one auxiliary state per *structurally distinct* temporal node,
@@ -301,9 +303,10 @@ class IncrementalChecker(Engine):
         #: constraint evaluations actually performed; a step in which
         #: no key of a constraint is affected reuses its witnesses
         self.evaluations = 0
-        #: whether the installed state came from a transaction, i.e.
-        #: whether the step has a delta the views can follow
-        self._successor = False
+        #: what the step's transaction really changed, per relation
+        #: (``None`` when the state was installed as a whole: no delta
+        #: for the views to follow)
+        self._changes: Optional[Dict[str, Delta]] = None
         # telemetry attribution: with sharing, member nodes attribute
         # to their class representative's aux state
         node_aux: Dict[Formula, AuxiliaryState] = dict(self._aux)
@@ -323,16 +326,16 @@ class IncrementalChecker(Engine):
         state: Optional[DatabaseState],
     ) -> bool:
         if txn is not None:
-            self.state = self.state.apply(txn)
-        else:
-            assert state is not None
-            self.state = state
+            self._changes = self.state.patch(txn)
+            return True
+        assert state is not None
         # no transaction, so no delta: every view evaluates in full
-        self._successor = txn is not None
-        return self._successor
+        self.state = state.owned_copy()
+        self._changes = None
+        return False
 
     def _advance_auxiliary(self, time: Timestamp) -> None:
-        self._provider.advance(self.state, self._successor)
+        self._provider.advance(self.state, self._changes)
         super()._advance_auxiliary(time)
 
     def _publish(self, target, table: Table) -> None:
@@ -344,9 +347,16 @@ class IncrementalChecker(Engine):
         provider = self._provider
         provider.publish(cell, table)
         for member, columns in members:
-            provider.publish(
-                member, table.rename(columns) if columns else table
-            )
+            renamed, last = table, member.mark
+            if columns:
+                # a renamed view shares rows, indexes and patch log with
+                # the table it was made of: good for as long as that is
+                # the table published
+                if last is not None and last[0].rows is table.rows:
+                    renamed = last[0]
+                else:
+                    renamed = table.rename(columns)
+            provider.publish(member, renamed)
 
     def _witnesses(self, position: int, constraint: Constraint) -> Table:
         # a view whose evaluation the budget shed misses that step's
@@ -364,8 +374,10 @@ class IncrementalChecker(Engine):
         ``view_evaluations`` is how often any maintained view ran the
         evaluator (the rest of its refreshes reused last step's table),
         ``view_keys`` how many affected keys its restricted runs
-        re-evaluated, and ``bound_visits`` how many stored runs the
-        auxiliary states touched because a window bound passed them.
+        re-evaluated, ``bound_visits`` how many stored runs the
+        auxiliary states touched because a window bound passed them and
+        ``survival_checks`` how many stored candidates ``SINCE`` tested
+        for survival.
         ``plans_compiled`` is how many evaluation plans were built
         (:func:`repro.core.foeval.compile_plan`): one per formula and
         context header, all within the first steps.  At fixed traffic
@@ -377,6 +389,9 @@ class IncrementalChecker(Engine):
             "view_keys": sum(v.keys_evaluated for v in self._views),
             "bound_visits": sum(
                 aux.bound_visits for aux in self._aux.values()
+            ),
+            "survival_checks": sum(
+                aux.survival_checks for aux in self._aux.values()
             ),
             "plans_compiled": self._provider.plans.cache_info().misses,
         }

@@ -236,7 +236,10 @@ class DelayedChecker(AuxAccounting):
             return evaluate(formula, provider, context)
 
         for node in self._past_nodes:
-            past_virtual[node] = self._aux[node].advance(time, evaluate_now)
+            # buffered until the verdict, while the state patches on
+            past_virtual[node] = self._aux[node].advance(
+                time, evaluate_now
+            ).snapshot()
         self._window.append(
             _BufferedState(self._arrivals, time, state, past_virtual)
         )

@@ -3,10 +3,11 @@
 The incremental checker evaluates the same formulas at every state —
 each temporal node's operand, ``SINCE``'s left operand over its stored
 candidates, each constraint's violation formula.  A :class:`View` keeps
-last step's result table and, instead of recomputing it, asks which
-*keys* the update can have touched and re-evaluates only those: this is
-simplified checking of denial constraints (evaluate only the instances
-of the violation query an update can affect) applied uniformly.
+its result in a table of its own and, instead of recomputing it, asks
+which *keys* the update can have touched, re-evaluates only those and
+patches the table in place: this is simplified checking of denial
+constraints (evaluate only the instances of the violation query an
+update can affect) applied uniformly.
 
 The argument is semantic, not syntactic.  Let ``f`` be the formula,
 ``L`` one of its *leaves* (a relational atom, or a temporal node — a
@@ -30,7 +31,7 @@ affected keys are most of the input anyway, the context is simply
 from __future__ import annotations
 
 from typing import (
-    Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
 from repro.core.foeval import (
@@ -48,7 +49,7 @@ from repro.core.formulas import (
     Formula,
     Var,
 )
-from repro.db.algebra import Table, tuple_of
+from repro.db.algebra import UNCHANGED, Delta, Table, tuple_of
 from repro.db.database import DatabaseState
 from repro.db.types import Row
 from repro.errors import MonitorError
@@ -57,23 +58,23 @@ from repro.errors import MonitorError
 #: keys are this share of the largest input, evaluate everything.
 WHOLE_SHARE = 0.5
 
-_UNCHANGED = (frozenset(), frozenset())
-
 
 class Leaf:
     """One leaf's table at the provider's current step, and how it got
     there: the cell views read instead of asking by formula."""
 
-    __slots__ = ("formula", "table", "delta", "stamp")
+    __slots__ = ("formula", "table", "mark", "delta", "stamp")
 
     #: the leaf's table as of step ``stamp`` (unset until there is one)
     table: Table
 
     def __init__(self, formula: Formula):
         self.formula = formula
+        #: a temporal node's table as published (``Table.mark``)
+        self.mark: Optional[Tuple[Table, int]] = None
         #: ``(rows entered, rows left)`` against the step before, or
         #: ``None`` when there is nothing to compare with
-        self.delta: Optional[Tuple[FrozenSet[Row], FrozenSet[Row]]] = None
+        self.delta: Optional[Delta] = None
         #: the provider's step the table belongs to (none yet: -1)
         self.stamp = -1
 
@@ -83,13 +84,13 @@ class StateProvider(AtomProvider):
 
     Resolves atoms from tables maintained across steps and temporal
     nodes from the virtual tables the checker computes bottom-up in the
-    same step.  Every leaf has one :class:`Leaf` cell.  An atom's cell
-    is patched by :meth:`advance` with the pattern-matched rows its
-    relation really gained and lost, so a relation is matched in full
-    only once; a temporal node's is filled when the checker
-    :meth:`publish` is given its virtual table.  Either way the change
-    against the previous step falls out of the same operation and is
-    left in the cell.
+    same step.  Every leaf has one :class:`Leaf` cell.  An atom's table
+    is the provider's own: :meth:`advance` patches it in place with the
+    pattern-matched rows its relation really gained and lost, so a
+    relation is matched in full only once.  A temporal node's table is
+    its auxiliary state's, handed over by :meth:`publish` and followed
+    by its version.  Either way the change against the previous step
+    falls out of the same operation and is left in the cell.
     """
 
     def __init__(self, atoms: Sequence[Atom], state: DatabaseState):
@@ -107,17 +108,19 @@ class StateProvider(AtomProvider):
         for atom in atoms:
             self.cell(atom)
 
+    def _matched(self, atom: Atom) -> Table:
+        """The atom's table, matched against the current state in full."""
+        table = relation_atom_table(self.state.relation(atom.relation), atom)
+        return Table.owned(table.columns, table.rows)
+
     def cell(self, leaf: Formula) -> Leaf:
         """The cell of an atom or temporal node.  An atom asked for the
-        first time joins the maintained ones, matched against the
-        current state in full."""
+        first time joins the maintained ones."""
         cell = self._cells.get(leaf)
         if cell is None:
             cell = Leaf(leaf)
             if isinstance(leaf, Atom):
-                cell.table = relation_atom_table(
-                    self.state.relation(leaf.relation), leaf
-                )
+                cell.table = self._matched(leaf)
                 cell.stamp = self.stamp
                 self._atoms.setdefault(leaf.relation, []).append(
                     (cell, atom_matcher(leaf)[1])
@@ -125,53 +128,44 @@ class StateProvider(AtomProvider):
             self._cells[leaf] = cell
         return cell
 
-    def advance(self, state: DatabaseState, successor: bool) -> None:
+    def advance(
+        self, state: DatabaseState, changes: Optional[Mapping[str, Delta]]
+    ) -> None:
         """Move to ``state``; temporal nodes await this step's tables.
 
-        When ``state`` is the ``successor`` of the current one by a
-        transaction, every atom table is patched by its relation's
-        effective delta; otherwise the delta is unknown, the tables are
-        matched afresh and no leaf reports a delta for this step.
+        ``changes`` is what a transaction really changed to get there,
+        per relation (:meth:`repro.db.database.DatabaseState.patch`):
+        every atom table is patched by its share of it.  With ``None``
+        the delta is unknown, the tables are matched afresh and no leaf
+        reports a delta for this step.
         """
         self.stamp = stamp = self.stamp + 1
-        self._successor = successor
-        if successor:
-            changes = state.delta_from(self.state)
-            # only its delta was needed: let the previous state go
-            # before the atom tables grow their successors
-            self.state = state
-            for name, atoms in self._atoms.items():
-                change = changes.get(name)
-                for cell, match in atoms:
-                    cell.stamp = stamp
-                    if change is None:
-                        cell.delta = _UNCHANGED
-                        continue
-                    previous = cell.table
-                    cell.table = table = previous.with_changes(
+        self._successor = changes is not None
+        self.state = state
+        for name, atoms in self._atoms.items():
+            change = None if changes is None else changes.get(name, UNCHANGED)
+            for cell, match in atoms:
+                cell.stamp = stamp
+                if change is None:
+                    cell.table = self._matched(cell.formula)
+                    cell.delta = None
+                elif change is UNCHANGED:
+                    cell.delta = UNCHANGED
+                else:
+                    cell.delta = cell.table.patch(
                         match(change[0]), match(change[1])
                     )
-                    cell.delta = table.delta_from(previous)
-        else:
-            self.state = state
-            for name, atoms in self._atoms.items():
-                relation = state.relation(name)
-                for cell, _match in atoms:
-                    cell.table = relation_atom_table(relation, cell.formula)
-                    cell.delta = None
-                    cell.stamp = stamp
 
     def publish(self, cell: Leaf, table: Table) -> None:
-        """Make ``table`` a temporal node's virtual table of this step."""
-        if (
-            self._successor
-            and cell.stamp == self.stamp - 1
-            and cell.table.columns == table.columns
-        ):
-            cell.delta = table.delta_from(cell.table)
+        """Make ``table`` a temporal node's virtual table of this step:
+        the table its owner patches from step to step, or another one
+        when nothing links the two steps."""
+        if self._successor and cell.stamp == self.stamp - 1:
+            cell.delta = table.delta_since(cell.mark)
         else:
             cell.delta = None
         cell.table = table
+        cell.mark = table.mark()
         cell.stamp = self.stamp
 
     def atom_table(self, atom: Atom) -> Table:
@@ -282,6 +276,12 @@ class _Keys:
 class View:
     """The result of one formula, kept up to date step by step.
 
+    The result table is the view's own (:meth:`Table.owned`): refreshes
+    patch it in place, once each, so whoever reads it every step follows
+    it by version.  A view of a bare leaf whose table already has the
+    view's header keeps no copy: it hands out the leaf's table, with the
+    same accounting.
+
     Args:
         formula: the kernel formula to maintain.
         columns: header of the result table, fixed for the view's life
@@ -295,8 +295,8 @@ class View:
 
     __slots__ = (
         "formula", "columns", "table", "evaluations", "keys_evaluated",
-        "_leaves", "_provider", "_sources", "_context_keys", "_context",
-        "_stamp",
+        "_leaves", "_provider", "_sources", "_forwarded", "_context_keys",
+        "_context", "_context_mark", "_stamp",
     )
 
     def __init__(
@@ -304,8 +304,8 @@ class View:
     ):
         self.formula = formula
         self.columns = header_of(formula) if columns is None else columns
-        #: the maintained result (``None`` before the first refresh)
-        self.table: Optional[Table] = None
+        #: the maintained result (empty before the first refresh)
+        self.table = Table.owned(self.columns, ())
         #: refreshes that ran the evaluator at all (the rest reused)
         self.evaluations = 0
         #: affected keys re-evaluated by restricted refreshes
@@ -315,8 +315,13 @@ class View:
         self._provider: Optional[StateProvider] = None
         #: each leaf's cell with how its rows map to this view's keys
         self._sources: List[Tuple[Leaf, _Keys]] = []
+        #: the cell whose table *is* the result (a bare leaf under the
+        #: view's own header, evaluated without a context)
+        self._forwarded: Optional[Leaf] = None
         self._context_keys: Optional[_Keys] = None
+        #: the context of the last refresh, and its mark then
         self._context: Optional[Table] = None
+        self._context_mark: Optional[Tuple[Table, int]] = None
         self._stamp = -1
 
     def _shared_with(self, variables) -> Tuple[str, ...]:
@@ -335,32 +340,45 @@ class View:
         stamp = provider.stamp
         if stamp != self._stamp:
             # a view shared by several nodes is refreshed by the first
-            # to ask; table, context and stamp move together and only
-            # once the work is done, so a refresh that raised is redone
-            # against the same previous table and context
-            self.table = self._refreshed(provider, context, stamp)
+            # to ask; everything is evaluated before the table is
+            # patched, and context and stamp move only after that, so a
+            # refresh that raised is redone from the table and the
+            # context delta it started from
+            self._refresh(provider, context, stamp)
             self._context = context
+            if context is not None:
+                self._context_mark = context.mark()
             self._stamp = stamp
         return self.table
 
-    def _refreshed(
-        self, provider: StateProvider, context: Optional[Table], stamp: int
-    ) -> Table:
-        table = self.table
+    def _bind(self, provider: StateProvider, context: Optional[Table]) -> None:
+        """Bind each leaf to its cell once: from here on a refresh reads
+        attributes instead of asking by formula."""
+        self._sources = [
+            (provider.cell(leaf), _Keys(self._shared_with(shared)))
+            for leaf, shared in self._leaves
+        ]
+        self._forwarded = None
         if (
-            table is None
-            or stamp != self._stamp + 1
-            or (context is not None and self._context is None)
+            context is None
+            and len(self._leaves) == 1
+            and self._leaves[0][0] == self.formula
         ):
-            return self._evaluate_whole(provider, context)
+            cell = self._sources[0][0]
+            if cell.stamp == provider.stamp and (
+                cell.table.columns == self.columns
+            ):
+                self._forwarded = cell
+        self._provider = provider
+
+    def _refresh(
+        self, provider: StateProvider, context: Optional[Table], stamp: int
+    ) -> None:
         if provider is not self._provider:
-            # bind each leaf to its cell once: from here on a refresh
-            # reads attributes instead of asking by formula
-            self._sources = [
-                (provider.cell(leaf), _Keys(self._shared_with(shared)))
-                for leaf, shared in self._leaves
-            ]
-            self._provider = provider
+            self._bind(provider, context)
+        table = self.table
+        if stamp != self._stamp + 1:
+            return self._evaluate_whole(provider, context)
 
         # every source of change: the rows that entered and left it,
         # projected on the columns it shares with the view — keys in
@@ -376,7 +394,10 @@ class View:
                     return self._evaluate_whole(provider, context)
                 keys.note(affected, cell.table.columns, added, removed)
         if context is not None:
-            added, removed = context.delta_from(self._context)
+            delta = context.delta_since(self._context_mark)
+            if delta is None:
+                return self._evaluate_whole(provider, context)
+            added, removed = delta
             if added or removed:
                 if self._context_keys is None:
                     self._context_keys = _Keys(
@@ -386,7 +407,7 @@ class View:
                     affected, context.columns, added, removed
                 )
         if not affected:
-            return table
+            return None
         count = sum(len(keys) for keys in affected.values())
         largest = max(
             (len(cell.table) for cell, _keys in self._sources), default=0
@@ -398,19 +419,30 @@ class View:
 
         self.evaluations += 1
         self.keys_evaluated += count
+        if self._forwarded is not None:
+            self.table = self._forwarded.table
+            return None
+        gained: Set[Row] = set()
+        lost: Set[Row] = set()
         for columns, keys in affected.items():
             restricted = Table._trusted(columns, keys)
             if context is not None:
                 restricted = restricted.join(context)
             fresh = evaluate(self.formula, provider, restricted)
-            table = table.with_changes(
-                added=fresh.project(table.columns).rows,
-                removed=table.matching(columns, keys),
-            )
-        return table
+            gained |= fresh.project(table.columns).rows
+            lost |= table.matching(columns, keys)
+        table.patch(gained, lost)
+        return None
 
     def _evaluate_whole(
         self, provider: StateProvider, context: Optional[Table]
-    ) -> Table:
+    ) -> None:
         self.evaluations += 1
-        return evaluate(self.formula, provider, context).project(self.columns)
+        result = evaluate(self.formula, provider, context)
+        if self._forwarded is not None:
+            self.table = result  # the leaf's own table, patched by its owner
+            return
+        # the result may be another owner's table: only its rows are
+        # taken, into the view's own
+        fresh, rows = result.project(self.columns).rows, self.table.rows
+        self.table.patch(fresh - rows, rows - fresh)

@@ -31,7 +31,9 @@ class Violation:
         self.constraint = constraint
         self.time = time
         self.index = index
-        self.witnesses = witnesses
+        # an engine may hand over a table it goes on patching: what
+        # leaves in a report is the witnesses as they are now
+        self.witnesses = witnesses.snapshot()
 
     @property
     def witness_count(self) -> int:

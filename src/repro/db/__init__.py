@@ -1,9 +1,10 @@
 """Relational database substrate.
 
 Everything the constraint checker needs from a database engine, built
-from scratch: typed schemas, immutable relation instances with lazy
-hash indexes, immutable database states with copy-on-write transitions,
-atomic insert/delete transactions, a pure relational algebra
+from scratch: typed schemas, relation instances with lazy hash indexes
+and database states with copy-on-write transitions (immutable, unless a
+single owner took a copy to patch in place), atomic insert/delete
+transactions, a pure relational algebra
 (:class:`~repro.db.algebra.Table`), and JSON persistence of schemas and
 update streams.
 """

@@ -3,8 +3,11 @@
 :class:`Table` is the workhorse of the whole library: relations, query
 answers, binding sets of the constraint checker, and auxiliary-relation
 snapshots are all tables — an ordered tuple of column names plus a set
-of equal-length value rows.  All operations are pure: they return new
-tables and never mutate their operands.
+of equal-length value rows.  Every operation of the algebra is pure: it
+returns a new table and never mutates its operands.  The one exception
+is :meth:`Table.patch`, and only a table made by :meth:`Table.owned`
+accepts it: such a table has a single owner that changes it in place,
+step by step, and readers follow it by its version.
 
 The operation set is exactly what safe-range first-order evaluation
 needs: natural join, union (with column alignment), set difference,
@@ -17,6 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 from typing import (
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -26,17 +30,35 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
+    Union,
 )
 
 from repro.db.types import Row, Value
 from repro.errors import AlgebraError
 
+#: A row set: frozen in a result of the algebra, a ``set`` its owner
+#: changes in place in an owned table or relation.
+Rows = Union[FrozenSet[Row], Set[Row]]
+
+#: ``(rows entered, rows left)``
+Delta = Tuple[Rows, Rows]
+
 _NO_ROWS: FrozenSet[Row] = frozenset()
+
+_SETS = (frozenset, set)
+
+#: the delta of a step that changed nothing
+UNCHANGED: Delta = (_NO_ROWS, _NO_ROWS)
+
+#: the patch log of every table nobody owns: version 0, for good
+_FROZEN = (0, _NO_ROWS, _NO_ROWS)
 
 #: One hash index: key -> the rows carrying it.  A one-column key is
 #: the bare value, a wider one the tuple of values (see :func:`key_of`).
-Index = Dict[object, FrozenSet[Row]]
+#: Buckets are changed in place by :func:`patch_index`.
+Index = Dict[object, Set[Row]]
 
 #: ``join`` probes the larger operand's (cached) index instead of
 #: scanning it once the smaller operand is this many times smaller.
@@ -44,27 +66,14 @@ PROBE_RATIO = 4
 
 
 def effective_change(
-    rows: FrozenSet[Row], added: Iterable[Row], removed: Iterable[Row]
-) -> Tuple[FrozenSet[Row], FrozenSet[Row]]:
+    rows: Rows, added: Iterable[Row], removed: Iterable[Row]
+) -> Delta:
     """What taking ``removed`` out of ``rows`` and then putting ``added``
-    in really changes: ``(rows gained, rows lost)``."""
+    in really changes: ``(rows gained, rows lost)``, two sets of their
+    own that nothing changes afterwards."""
     added = frozenset(added)
     lost = rows.intersection(removed) - added if removed else _NO_ROWS
     return added - rows, lost
-
-
-def remembered_delta(
-    rows: FrozenSet[Row], patch: Optional[tuple], before: FrozenSet[Row]
-) -> Tuple[FrozenSet[Row], FrozenSet[Row]]:
-    """``(added, removed)`` between the row sets ``before`` and ``rows``,
-    read off ``patch`` — the ``(predecessor rows, added, removed)`` a
-    ``with_changes`` successor keeps — when it was made from ``before``,
-    and computed as a set difference otherwise."""
-    if before is rows:
-        return _NO_ROWS, _NO_ROWS
-    if patch is not None and patch[0] is before:
-        return patch[1], patch[2]
-    return rows - before, before - rows
 
 
 def key_of(positions: Sequence[int]) -> Callable[[Row], object]:
@@ -89,7 +98,7 @@ def build_index(rows: Iterable[Row], positions: Sequence[int]) -> Index:
     buckets: Dict[object, List[Row]] = {}
     for row in rows:
         buckets.setdefault(key(row), []).append(row)
-    return {k: frozenset(rs) for k, rs in buckets.items()}
+    return {k: set(rs) for k, rs in buckets.items()}
 
 
 def patch_index(
@@ -97,28 +106,28 @@ def patch_index(
     positions: Sequence[int],
     added: Iterable[Row],
     removed: Iterable[Row],
-) -> Index:
-    """A copy of ``index`` with only the touched buckets rebuilt.
+) -> None:
+    """Take ``removed`` out of ``index`` and put ``added`` in, touching
+    only their buckets; a bucket left empty goes.
 
-    ``removed`` rows must be in the index and ``added`` rows must not;
-    both are what :meth:`Table.with_changes` and
-    :meth:`repro.db.relation.Relation.with_changes` compute as the
-    effective change.
+    ``removed`` rows must be in the index and ``added`` rows must not:
+    an effective change (:func:`effective_change`).
     """
     key = key_of(positions)
-    patched = dict(index)
     for row in removed:
         k = key(row)
-        bucket = patched[k] - {row}
-        if bucket:
-            patched[k] = bucket
+        bucket = index[k]
+        if len(bucket) == 1:
+            del index[k]
         else:
-            del patched[k]
+            bucket.remove(row)
     for row in added:
         k = key(row)
-        bucket = patched.get(k)
-        patched[k] = bucket | {row} if bucket else frozenset((row,))
-    return patched
+        bucket = index.get(k)
+        if bucket is None:
+            index[k] = {row}
+        else:
+            bucket.add(row)
 
 
 @lru_cache(maxsize=4096)
@@ -148,23 +157,24 @@ def _join_layout(mine: Tuple[str, ...], theirs: Tuple[str, ...]) -> tuple:
 
 
 class Table:
-    """An immutable set of rows under an ordered column header.
+    """A set of rows under an ordered column header.
 
     Two tables are equal when they have the same columns *as a set* and
     contain the same rows once aligned to a common column order; this is
     the right notion of equality for query answers.
 
-    Because a table never changes, two things can ride along with it:
-    hash indexes, built on first use and cached (:meth:`index_on`), and
-    the *patch* that produced it.  :meth:`with_changes` returns a
-    successor table that shares every cached index except the touched
-    buckets and remembers what was added and removed, so a reader
-    holding the predecessor gets the difference in O(1)
-    (:meth:`delta_from`) — the primitive the incremental checker's
-    maintained views are built from.
+    A result of the algebra never changes.  A table made by
+    :meth:`owned` has one owner, who changes it in place
+    (:meth:`patch`): the row set and the touched buckets of every hash
+    index built so far (:meth:`index_on`) are updated and the effective
+    change is remembered under a new version, so a reader that took a
+    :meth:`mark` asks :meth:`delta_since` for what it missed instead of
+    comparing two tables — the primitive the incremental checker's
+    maintained views are built from.  Whoever needs the rows to stay as
+    they are takes a :meth:`snapshot`.
     """
 
-    __slots__ = ("columns", "rows", "_indexes", "_patch")
+    __slots__ = ("columns", "rows", "_indexes", "_log")
 
     def __init__(self, columns: Sequence[str], rows: Iterable[Row] = ()):
         cols = tuple(columns)
@@ -177,13 +187,13 @@ class Table:
                 raise AlgebraError(
                     f"row {r!r} does not match columns {cols}"
                 )
-        self.rows: FrozenSet[Row] = frozen
+        self.rows: Rows = frozen
         #: positions -> index, filled lazily; shared with renamed views
-        #: of the same rows and carried forward by ``with_changes``
+        #: of the same rows
         self._indexes: Dict[Tuple[int, ...], Index] = {}
-        #: ``(predecessor rows, added, removed)`` when built by
-        #: ``with_changes``
-        self._patch: Optional[tuple] = None
+        #: ``[version, added, removed]`` of the last patch, a list only
+        #: an owned table has; shared with renamed views
+        self._log: Any = _FROZEN
 
     @classmethod
     def _trusted(
@@ -191,17 +201,25 @@ class Table:
         columns: Tuple[str, ...],
         rows: Iterable[Row],
         indexes: Optional[Dict[Tuple[int, ...], Index]] = None,
-        patch: Optional[tuple] = None,
+        log: Any = _FROZEN,
     ) -> "Table":
         """Internal constructor for rows the algebra itself produced:
         ``columns`` is a duplicate-free tuple and every row a tuple of
-        matching length, so nothing is re-tupled or re-checked."""
+        matching length, so nothing is re-tupled or re-checked.  A set
+        is taken as it is, not copied."""
         self = object.__new__(cls)
         self.columns = columns
-        self.rows = frozenset(rows)
+        self.rows = rows if isinstance(rows, _SETS) else frozenset(rows)
         self._indexes = {} if indexes is None else indexes
-        self._patch = patch
+        self._log = log
         return self
+
+    @classmethod
+    def owned(cls, columns: Tuple[str, ...], rows: Iterable[Row]) -> "Table":
+        """A table the caller may :meth:`patch`, holding a copy of
+        ``rows`` (which must fit ``columns``, as for a result of the
+        algebra)."""
+        return cls._trusted(columns, set(rows), None, [0, _NO_ROWS, _NO_ROWS])
 
     def __reduce__(self):
         # only the relation travels (shard workers pickle witness
@@ -294,9 +312,9 @@ class Table:
 
     def matching(
         self, columns: Sequence[str], keys: Iterable[Row]
-    ) -> FrozenSet[Row]:
+    ) -> Rows:
         """The rows whose projection onto ``columns`` is in ``keys``
-        (tuples in the order of ``columns``)."""
+        (tuples in the order of ``columns``), as a set of their own."""
         if tuple(columns) == self.columns:
             return self.rows.intersection(keys)
         index = self.index_on(columns)
@@ -307,44 +325,57 @@ class Table:
             found.extend(index.get(k, ()))
         return frozenset(found)
 
-    def with_changes(
+    def patch(
         self, added: Iterable[Row] = (), removed: Iterable[Row] = ()
-    ) -> "Table":
-        """The table with ``removed`` rows taken out, then ``added``
-        rows put in (rows must already fit the header).
+    ) -> Delta:
+        """Take ``removed`` rows out, then put ``added`` rows in (rows
+        must already fit the header), in place; owned tables only.
 
-        Returns ``self`` when nothing really changes.  Otherwise the
-        successor carries every cached index forward with only the
-        touched buckets rebuilt, and remembers the effective change for
-        :meth:`delta_from`.
+        Returns the effective change ``(rows gained, rows lost)``.
+        When there is one, only the touched index buckets are updated,
+        the version goes up by one and the change is what
+        :meth:`delta_since` answers a mark taken before.
         """
-        rows = self.rows
-        new, gone = effective_change(rows, added, removed)
-        if not new and not gone:
+        log = self._log
+        if log is _FROZEN:
+            raise AlgebraError("only a table made by Table.owned is patched")
+        change = effective_change(self.rows, added, removed)
+        gained, lost = change
+        if not gained and not lost:
+            return UNCHANGED
+        for positions, index in self._indexes.items():
+            patch_index(index, positions, gained, lost)
+        if lost:
+            self.rows -= lost
+        self.rows |= gained
+        log[0] += 1
+        log[1], log[2] = change
+        return change
+
+    def mark(self) -> Tuple["Table", int]:
+        """What a reader keeps to ask :meth:`delta_since` at its next
+        read: this table and the version it is at."""
+        return self, self._log[0]
+
+    def delta_since(self, mark: Optional[Tuple["Table", int]]) -> Optional[Delta]:
+        """``(rows entered, rows left)`` since ``mark`` was taken:
+        nothing, or the last patch — and ``None`` when the mark is of
+        another table, further behind or missing, so that the reader
+        has to start over."""
+        if mark is None or mark[0] is not self:
+            return None
+        log = self._log
+        behind = log[0] - mark[1]
+        if not behind:
+            return UNCHANGED
+        return (log[1], log[2]) if behind == 1 else None
+
+    def snapshot(self) -> "Table":
+        """The table as it is now, for good: a frozen copy of an owned
+        table, the table itself otherwise."""
+        if self._log is _FROZEN:
             return self
-        indexes = {
-            positions: patch_index(index, positions, new, gone)
-            for positions, index in self._indexes.items()
-        }
-        return Table._trusted(
-            self.columns,
-            (rows - gone) | new if gone else rows | new,
-            indexes,
-            (rows, new, gone),
-        )
-
-    def delta_from(
-        self, previous: "Table"
-    ) -> Tuple[FrozenSet[Row], FrozenSet[Row]]:
-        """``(added, removed)``: the rows this table has that
-        ``previous`` lacks, and the other way round.
-
-        O(1) when this table is ``previous`` or its direct
-        :meth:`with_changes` successor; a set difference otherwise.
-        """
-        if previous.columns != self.columns:
-            previous = previous.project(self.columns)
-        return remembered_delta(self.rows, self._patch, previous.rows)
+        return Table._trusted(self.columns, frozenset(self.rows))
 
     # ------------------------------------------------------------------
     # unary operations
@@ -372,8 +403,9 @@ class Table:
             raise AlgebraError(
                 f"rename {dict(mapping)} collapses columns {self.columns}"
             )
-        # same rows at the same positions: indexes and patch still hold
-        return Table._trusted(new_cols, self.rows, self._indexes, self._patch)
+        # the same rows at the same positions: a view of this table,
+        # indexes and patch log included, whoever patches it
+        return Table._trusted(new_cols, self.rows, self._indexes, self._log)
 
     def select(self, predicate: Callable[[Dict[str, Value]], bool]) -> "Table":
         """Keep rows on which ``predicate`` (over a row dict) is true."""
@@ -531,8 +563,8 @@ class Table:
         by membership, and otherwise the smaller operand is hashed and
         the larger scanned — unless the larger is :data:`PROBE_RATIO`
         times bigger or already has the index, in which case the
-        smaller probes the larger's cached index (carried from step to
-        step by :meth:`with_changes`) and the larger is not scanned.
+        smaller probes the larger's cached index (kept up to date by
+        :meth:`patch`) and the larger is not scanned.
         """
         mine, theirs = self.columns, other.columns
         if not mine:
@@ -585,7 +617,8 @@ class Table:
         """Key function over this table's rows and the key set of
         ``other``, both on the ``shared`` columns."""
         key = tuple_of([self.column_index(c) for c in shared])
-        return key, frozenset(other._aligned_rows(shared))
+        keys = other._aligned_rows(shared)
+        return key, keys if isinstance(keys, _SETS) else frozenset(keys)
 
     def semijoin(self, other: "Table") -> "Table":
         """Keep rows that join with at least one row of ``other``."""

@@ -1,20 +1,21 @@
 """Database states.
 
 A :class:`DatabaseState` is one snapshot of the database: every relation
-of the schema with its current rows.  States are immutable; applying a
-:class:`~repro.db.transactions.Transaction` yields a new state that
-shares the relation objects the transaction did not touch, so keeping a
+of the schema with its current rows.  :meth:`DatabaseState.apply` is
+pure: it yields a new state that shares the relation objects the
+:class:`~repro.db.transactions.Transaction` did not touch, so keeping a
 window of recent states (as the naive checker does) costs memory only
-proportional to the changes between them.
+proportional to the changes between them.  An engine that keeps one
+state and nothing before it takes an :meth:`DatabaseState.owned_copy`
+and changes that in place (:meth:`DatabaseState.patch`), at the cost of
+the rows the transaction really changes.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set, Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set
 
-from repro.db.algebra import effective_change
+from repro.db.algebra import Delta, effective_change
 from repro.db.relation import Relation
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
@@ -23,7 +24,8 @@ from repro.errors import UnknownRelationError
 
 
 class DatabaseState:
-    """One immutable snapshot of all relations declared by a schema."""
+    """One snapshot of all relations declared by a schema (immutable
+    unless it is an owned copy)."""
 
     __slots__ = ("schema", "_relations")
 
@@ -97,26 +99,38 @@ class DatabaseState:
                     txn.deletes.get(name, ()),
                 )
             )
-        successor = object.__new__(DatabaseState)
-        successor.schema = self.schema  # same schema, relations of it
-        successor._relations = new_rels
-        return successor
+        return self._of(new_rels)
 
-    def delta_from(
-        self, previous: "DatabaseState"
-    ) -> Dict[str, Tuple[FrozenSet[Row], FrozenSet[Row]]]:
-        """The effective change since ``previous``: for each relation
-        that really differs, the rows ``(added, removed)``.
+    def _of(self, relations: Dict[str, Relation]) -> "DatabaseState":
+        """A state of the same schema over ``relations`` of it."""
+        state = object.__new__(DatabaseState)
+        state.schema = self.schema
+        state._relations = relations
+        return state
 
-        Costs O(relations) after :meth:`apply` — each touched relation
-        remembers its own change — and a set difference per relation
-        for unrelated states.
+    def owned_copy(self) -> "DatabaseState":
+        """A copy the caller may :meth:`patch`: nothing of it is shared
+        with this state."""
+        return self._of(
+            {name: r.owned_copy() for name, r in self._relations.items()}
+        )
+
+    def patch(self, txn: Transaction) -> Dict[str, Delta]:
+        """Apply ``txn`` to this state itself (owned copies only).
+
+        Returns the effective change: for each relation that really
+        differs afterwards, the rows ``(added, removed)``.  Every row is
+        validated before any relation changes, so a transaction that
+        raises leaves the state as it was.
         """
+        txn.validate(self.schema)
         changes = {}
-        for name, relation in self._relations.items():
-            added, removed = relation.delta_from(previous.relation(name))
-            if added or removed:
-                changes[name] = (added, removed)
+        for name in txn.touched_relations():
+            change = self._relations[name].patch(
+                txn.inserts.get(name, ()), txn.deletes.get(name, ())
+            )
+            if change[0] or change[1]:
+                changes[name] = change
         return changes
 
     def diff(self, successor: "DatabaseState") -> Transaction:

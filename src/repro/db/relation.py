@@ -1,45 +1,48 @@
-"""Relation instances: immutable sets of rows plus lazy hash indexes.
+"""Relation instances: sets of rows plus lazy hash indexes.
 
 A :class:`Relation` couples a :class:`~repro.db.schema.RelationSchema`
-with a set of rows.  Instances are immutable; an update produces a new
-relation that validates only the rows it did not already hold, carries
-the hash indexes forward with only the touched buckets rebuilt, and
-remembers what really changed (:meth:`Relation.delta_from`).  Because
-instances never change, per-attribute hash indexes can be built lazily
-and cached forever, which keeps selective lookups (the common case in
-constraint checking) constant-time.
+with a set of rows.  :meth:`Relation.with_changes` is pure: it leaves
+the relation as it is and returns a successor that validates only the
+rows it did not already hold, which is what the engines that keep a
+history of states build on.  The incremental checker keeps one state
+and owns it: a relation made by :meth:`Relation.owned_copy` is changed
+in place (:meth:`Relation.patch`), rows and the touched buckets of its
+per-attribute hash indexes alike, so selective lookups (the common case
+in constraint checking) stay constant-time from step to step.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator
 
-from repro.db.algebra import (
-    Table,
-    build_index,
-    effective_change,
-    patch_index,
-    remembered_delta,
-)
+from repro.db.algebra import Delta, Index, Rows, Table, effective_change
 from repro.db.schema import RelationSchema
 from repro.db.types import Row, Value
 
 
 class Relation:
-    """An immutable relation instance."""
+    """A relation instance: immutable unless it is an owned copy."""
 
-    __slots__ = ("schema", "rows", "_indexes", "_patch")
+    __slots__ = ("schema", "rows", "_table")
 
     def __init__(self, schema: RelationSchema, rows: Iterable[Row] = ()):
         frozen = frozenset(tuple(r) for r in rows)
         for r in frozen:
             schema.validate_row(r)
+        self._hold(schema, Table._trusted(schema.attribute_names, frozen))
+
+    def _hold(self, schema: RelationSchema, table: Table) -> "Relation":
         self.schema = schema
-        self.rows: FrozenSet[Row] = frozen
-        self._indexes: Dict[int, Dict[Value, FrozenSet[Row]]] = {}
-        #: ``(predecessor rows, added, removed)`` when built by
-        #: ``with_changes``
-        self._patch: Optional[tuple] = None
+        #: rows (valid ones) and lazily built indexes live in a table
+        self._table = table
+        self.rows: Rows = table.rows
+        return self
+
+    def owned_copy(self) -> "Relation":
+        """A copy the caller may :meth:`patch`."""
+        return object.__new__(Relation)._hold(
+            self.schema, Table.owned(self._table.columns, self.rows)
+        )
 
     @property
     def name(self) -> str:
@@ -51,17 +54,13 @@ class Relation:
         """Number of rows."""
         return len(self.rows)
 
-    def index_on(self, position: int) -> Dict[Value, FrozenSet[Row]]:
+    def index_on(self, position: int) -> Index:
         """Return (building if needed) the hash index on ``position``."""
-        cached = self._indexes.get(position)
-        if cached is None:
-            cached = self._indexes[position] = build_index(
-                self.rows, (position,)
-            )
-        return cached
+        return self._table._index_at((position,))
 
-    def lookup(self, position: int, value: Value) -> FrozenSet[Row]:
-        """Rows whose attribute at ``position`` equals ``value``."""
+    def lookup(self, position: int, value: Value) -> Rows:
+        """Rows whose attribute at ``position`` equals ``value`` (of an
+        owned copy: as they are until its next patch)."""
         return self.index_on(position).get(value, frozenset())
 
     def with_changes(
@@ -85,38 +84,26 @@ class Relation:
             self.schema.validate_row(r)
         return self._changed(added, removed)
 
-    def _changed(
-        self, added: FrozenSet[Row], removed: FrozenSet[Row]
-    ) -> "Relation":
+    def _changed(self, added: Rows, removed: Rows) -> "Relation":
         """The successor by an *effective* change of valid rows:
         ``added`` are not held, ``removed`` are."""
         if not added and not removed:
             return self
         rows = self.rows
-        successor = object.__new__(Relation)
-        successor.schema = self.schema
-        successor.rows = (rows - removed) | added if removed else rows | added
-        successor._indexes = {
-            position: patch_index(index, (position,), added, removed)
-            for position, index in self._indexes.items()
-        }
-        successor._patch = (rows, added, removed)
-        return successor
+        return object.__new__(Relation)._hold(self.schema, Table._trusted(
+            self._table.columns,
+            (rows - removed) | added if removed else rows | added,
+        ))
 
-    def delta_from(
-        self, previous: "Relation"
-    ) -> Tuple[FrozenSet[Row], FrozenSet[Row]]:
-        """``(added, removed)``: the rows really gained and lost since
-        ``previous`` (an earlier instance of the same relation).
-
-        O(1) when this is ``previous`` or its direct
-        :meth:`with_changes` successor; a set difference otherwise.
-        """
-        return remembered_delta(self.rows, self._patch, previous.rows)
+    def patch(self, inserts: Iterable[Row], deletes: Iterable[Row]) -> Delta:
+        """Take ``deletes`` out and put ``inserts`` (valid rows) in, in
+        place, indexes included; owned copies only.  Returns the
+        effective change ``(rows gained, rows lost)``."""
+        return self._table.patch(inserts, deletes)
 
     def to_table(self) -> Table:
         """View this relation as an algebra table (columns = attributes)."""
-        return Table(self.schema.attribute_names, self.rows)
+        return self._table.snapshot()
 
     def __contains__(self, row: object) -> bool:
         return row in self.rows
@@ -135,7 +122,7 @@ class Relation:
         )
 
     def __hash__(self) -> int:
-        return hash((self.schema, self.rows))
+        return hash((self.schema, frozenset(self.rows)))
 
     def __repr__(self) -> str:
         return f"Relation({self.schema!r}, {len(self.rows)} rows)"

@@ -6,13 +6,23 @@ driven with *the same* four reporting sensors; one keeps 46 further
 sensors resident, the other 796, all of them at the critical level so
 that they sit in every operand table and in every auxiliary relation.
 Rows validated by ``apply``, view evaluations, affected keys,
-auxiliary runs visited and plans compiled must then be equal, step for
-step.
+auxiliary runs visited, candidates tested for survival and plans
+compiled must then be equal, step for step.
+
+Counting Python-level visits cannot see a C built-in that copies a
+resident set or index, so the allocation side is asserted too: the
+memory a settled step takes at its peak, the blocks it leaves allocated
+and the size of every container it constructs are the delta's.
 """
 
+import gc
 import random
+import sys
+import tracemalloc
 
+from repro.core import auxiliary, views
 from repro.core.checker import IncrementalChecker
+from repro.db import algebra
 from repro.db.schema import RelationSchema
 from repro.db.transactions import Transaction
 from repro.workloads import sensors
@@ -97,8 +107,10 @@ def test_per_step_work_does_not_depend_on_the_resident_state(monkeypatch):
     assert max(row["validated"] for row in steady) <= 4 * REPORTING
     assert max(row["view_keys"] for row in steady) <= 8 * REPORTING
     assert max(row["bound_visits"] for row in steady) <= 4 * REPORTING
+    assert max(row["survival_checks"] for row in steady) <= 4 * REPORTING
     assert sum(row["view_keys"] for row in steady) > 0
     assert sum(row["bound_visits"] for row in steady) > 0
+    assert sum(row["survival_checks"] for row in steady) > 0
     # nothing is planned per step: a plan is compiled the first time a
     # formula meets a context header (the last one here when a view
     # first re-evaluates single keys), as many for the small plant as
@@ -118,3 +130,70 @@ def test_bulk_load_is_the_only_step_that_scales(monkeypatch):
     # the loaded anchors cross SINCE's low bound once, together
     assert sum(row["bound_visits"] for row in rows[:SETTLED]) >= 796
 
+
+
+#: a step of either plant may leave this many more blocks allocated, and
+#: take this many more bytes at its peak, than the same step of the
+#: other: sets of different sizes are rehashed at different steps.  One
+#: copy of an 800-row set or of an index over it is 32 KiB and more.
+BLOCK_SLACK = 16
+PEAK_SLACK = 8 * 1024
+
+
+def allocations(resident: int):
+    """Per step: blocks left allocated, bytes at the peak."""
+    checker = IncrementalChecker(sensors.SCHEMA, sensors.constraints())
+    rows = []
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for time, txn in plant_stream(resident):
+            blocks = sys.getallocatedblocks()
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            checker.step(time, txn)
+            rows.append((
+                sys.getallocatedblocks() - blocks,
+                tracemalloc.get_traced_memory()[1] - held,
+            ))
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    return rows
+
+
+def test_a_settled_step_allocates_the_same_whatever_is_resident():
+    small, large = allocations(46), allocations(796)
+    assert large[0][1] > 10 * small[0][1], "the bulk load does scale"
+    for step in range(SETTLED, STEPS + 1):
+        (small_blocks, small_peak), (large_blocks, large_peak) = (
+            small[step], large[step]
+        )
+        assert abs(large_blocks - small_blocks) <= BLOCK_SLACK, step
+        assert abs(large_peak - small_peak) <= PEAK_SLACK, step
+
+
+def test_no_settled_step_constructs_a_container_of_the_state(monkeypatch):
+    """Every ``set``/``frozenset``/``dict``/``list`` call on the step
+    path makes something the size of the delta, never of a resident
+    set or index."""
+    made = []
+
+    def spy(kind):
+        def construct(*args):
+            container = kind(*args)
+            made.append(len(container))
+            return container
+        return construct
+
+    checker = IncrementalChecker(sensors.SCHEMA, sensors.constraints())
+    stream = list(plant_stream(796))
+    for time, txn in stream[:SETTLED]:
+        checker.step(time, txn)
+    for module in (algebra, views, auxiliary):
+        for kind in (set, frozenset, dict, list):
+            monkeypatch.setattr(module, kind.__name__, spy(kind), raising=False)
+    for time, txn in stream[SETTLED:]:
+        checker.step(time, txn)
+    assert made and max(made) <= 4 * REPORTING

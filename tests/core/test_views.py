@@ -78,14 +78,16 @@ class TestFailedRefresh:
         atom = parse("q(x)")
         provider = StateProvider([atom], state)
         view = View(atom)
-        context = Table(("x",), [(0,), (1,), (2,), (9,)])
-        provider.advance(state, successor=False)
+        context = Table.owned(("x",), [(0,), (1,), (2,), (9,)])
+        provider.advance(state, None)
         assert view.refresh(provider, context) == Table(
             ("x",), [(0,), (1,), (2,)]
         )
+        before = view.table.mark()
 
-        provider.advance(state.apply(Transaction.noop()), successor=True)
-        grown = context.with_changes(added=[(5,)])
+        provider.advance(state, {})
+        context.patch(added=[(5,)])
+        grown = context
         calls = []
 
         def failing_once(*args):
@@ -97,6 +99,7 @@ class TestFailedRefresh:
         monkeypatch.setattr(views, "evaluate", failing_once)
         with pytest.raises(RuntimeError):
             view.refresh(provider, grown)
+        assert view.table.mark() == before, "nothing patched yet"
         # the retry still owes the key the context gained
         assert view.refresh(provider, grown) == evaluate(
             atom, provider, grown

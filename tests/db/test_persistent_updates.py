@@ -1,6 +1,7 @@
-"""Updates that cost their delta: patched indexes, remembered changes,
-validation of new rows only — and a public ``Table`` constructor that
-still checks everything."""
+"""Updates that cost their delta: owned tables and relations patched in
+place, indexes included, changes remembered by version, validation of
+new rows only — and a public ``Table`` constructor that still checks
+everything."""
 
 import pytest
 from hypothesis import given, settings
@@ -25,21 +26,30 @@ changes = st.lists(st.tuples(rows, rows), min_size=1, max_size=6)
 @settings(max_examples=150, deadline=None)
 @given(initial=rows, batches=changes, warm=st.sets(st.integers(0, 1)))
 def test_relation_indexes_are_patched_not_rebuilt(initial, batches, warm):
-    relation = Relation(SCHEMA, initial)
-    for position in warm:  # only indexes that exist are carried forward
+    frozen = Relation(SCHEMA, initial)
+    relation = frozen.owned_copy()
+    for position in warm:  # only indexes that exist are kept up to date
         relation.index_on(position)
     for inserts, deletes in batches:
-        before = relation
-        relation = relation.with_changes(inserts, deletes)
-        assert relation.rows == (before.rows - deletes) | inserts
-        added, removed = relation.delta_from(before)
-        assert added == relation.rows - before.rows
-        assert removed == before.rows - relation.rows
-        assert set(relation._indexes) == set(before._indexes)
+        before = frozenset(relation.rows)
+        indexes = dict(relation._table._indexes)
+        added, removed = relation.patch(inserts, deletes)
+        assert relation.rows == (before - deletes) | inserts
+        assert added == relation.rows - before
+        assert removed == before - relation.rows
+        assert relation._table._indexes.keys() == indexes.keys()
+        assert all(relation._table._indexes[k] is indexes[k] for k in indexes)
         rebuilt = Relation(SCHEMA, relation.rows)
         for position in (0, 1):
             assert relation.index_on(position) == rebuilt.index_on(position)
-    assert relation.with_changes() is relation
+        # the pure successor is another relation; this one stays put
+        successor = rebuilt.with_changes(inserts, deletes)
+        assert successor.rows == (rebuilt.rows - deletes) | inserts
+        assert rebuilt.rows == relation.rows
+    assert frozen.rows == initial, "the copy shares nothing"
+    assert frozen.with_changes() is frozen
+    with pytest.raises(AlgebraError):
+        frozen.patch([(0, 0)], [])
 
 
 @settings(max_examples=150, deadline=None)
@@ -47,21 +57,25 @@ def test_relation_indexes_are_patched_not_rebuilt(initial, batches, warm):
     st.sampled_from([("a",), ("b",), ("b", "a")])
 ))
 def test_table_indexes_are_patched_not_rebuilt(initial, batches, warm):
-    table = Table(("a", "b"), initial)
+    table = Table.owned(("a", "b"), initial)
+    renamed = table.rename({"a": "x"})
     for columns in warm:
         table.index_on(columns)
     for added, removed in batches:
-        before = table
-        table = table.with_changes(added, removed)
-        assert table.rows == (before.rows - removed) | added
-        assert table.delta_from(before) == (
-            table.rows - before.rows, before.rows - table.rows
-        )
-        # a renamed view shares the indexes and the remembered change
-        renamed = table.rename({"a": "x"})
-        assert renamed.delta_from(before.rename({"a": "x"})) == (
-            table.delta_from(before)
-        )
+        before, mark = frozenset(table.rows), table.mark()
+        change = table.patch(added, removed)
+        assert table.rows == (before - removed) | added
+        assert change == (table.rows - before, before - table.rows)
+        # a reader follows by version: nothing, the last patch, or lost
+        assert table.mark() == (table, mark[1] + (1 if any(change) else 0))
+        assert table.delta_since(mark) == change
+        assert table.delta_since(table.mark()) == (frozenset(), frozenset())
+        assert table.delta_since((table, table.mark()[1] - 2)) is None
+        assert table.delta_since(renamed.mark()) is None, "another table"
+        # a renamed view shares rows, indexes and the remembered change
+        assert renamed.rows is table.rows
+        assert renamed.mark()[1] == table.mark()[1]
+        assert renamed.delta_since((renamed, mark[1])) == change
         rebuilt = Table(("a", "b"), table.rows)
         for columns in (("a",), ("b",), ("b", "a")):
             assert table.index_on(columns) == rebuilt.index_on(columns)
@@ -71,6 +85,12 @@ def test_table_indexes_are_patched_not_rebuilt(initial, batches, warm):
                     r for r in table.rows
                     if tuple(r[table.column_index(c)] for c in columns) == key
                 )
+    snapshot = table.snapshot()
+    kept = frozenset(table.rows)
+    table.patch([(9, 9)], kept)
+    assert snapshot.rows == kept and snapshot.snapshot() is snapshot
+    with pytest.raises(AlgebraError):
+        snapshot.patch([(1, 1)])
 
 
 def reference_join(left: Table, right: Table) -> Table:
@@ -134,10 +154,14 @@ def test_large_side_is_probed_through_its_cached_index():
     context = Table(("a",), [(3,), (500,)])
     assert context.join(big) == Table(("a", "b"), [(3, 3)])
     assert (0,) in big._indexes, "the join built and kept the index"
-    successor = big.with_changes(added=[(500, 1)], removed=[(3, 3)])
-    assert successor._indexes[(0,)] is not big._indexes[(0,)]
-    assert context.join(successor) == Table(("a", "b"), [(500, 1)])
-    assert big.index_on(("a",))[3] == frozenset({(3, 3)}), "predecessor intact"
+    owned = Table.owned(big.columns, big.rows)
+    assert context.join(owned) == Table(("a", "b"), [(3, 3)])
+    index = owned._indexes[(0,)]
+    owned.patch(added=[(500, 1)], removed=[(3, 3)])
+    assert owned._indexes[(0,)] is index, "patched, not rebuilt"
+    assert 3 not in index and index[500] == {(500, 1)}
+    assert context.join(owned) == Table(("a", "b"), [(500, 1)])
+    assert big.index_on(("a",))[3] == {(3, 3)}, "the copied table intact"
 
 
 class TestValidationFollowsTheDelta:
@@ -177,24 +201,29 @@ class TestValidationFollowsTheDelta:
             schema, {"r": [(i, i) for i in range(200)]}
         )
         del counted[:]
-        after = state.apply(Transaction({"r": [(7, 0)]}, {"r": [(3, 3)]}))
+        txn = Transaction({"r": [(7, 0)]}, {"r": [(3, 3)]})
+        after = state.apply(txn)
         assert len(counted) <= 3
-        assert after.delta_from(state) == {
-            "r": (frozenset({(7, 0)}), frozenset({(3, 3)}))
-        }
-        with pytest.raises(ReproError):
-            state.apply(Transaction({"r": [("x", 0)]}, {}))
+        assert after.relation("r").rows == (
+            state.relation("r").rows - {(3, 3)} | {(7, 0)}
+        )
+        del counted[:]
+        owned = state.owned_copy()
+        assert owned.patch(txn) == {"r": ({(7, 0)}, {(3, 3)})}
+        assert len(counted) <= 3
+        assert owned == after and len(state.relation("r")) == 200
+        for target in (state.apply, owned.patch):
+            with pytest.raises(ReproError):
+                target(Transaction({"r": [(8, 8), ("x", 0)]}, {}))
+        assert owned == after, "an invalid transaction changes nothing"
 
     def test_effective_delta_ignores_what_changes_nothing(self):
         schema = DatabaseSchema([SCHEMA])
         state = DatabaseState.from_rows(schema, {"r": [(1, 1)]})
-        after = state.apply(Transaction({"r": [(1, 1)]}, {"r": [(9, 9)]}))
-        assert after.delta_from(state) == {}
+        txn = Transaction({"r": [(1, 1)]}, {"r": [(9, 9)]})
+        after = state.apply(txn)
         assert after.relation("r") is state.relation("r")
-        unrelated = DatabaseState.from_rows(schema, {"r": [(2, 2)]})
-        assert unrelated.delta_from(state) == {
-            "r": (frozenset({(2, 2)}), frozenset({(1, 1)}))
-        }
+        assert state.owned_copy().patch(txn) == {}
 
 
 class TestPublicConstructorKeepsEveryCheck:
@@ -225,7 +254,7 @@ class TestPublicConstructorKeepsEveryCheck:
         right = Table(("b", "c"), [(2, 5), (3, 6)])
         for result in (
             left.join(right), left.union(left), left.project(("b",)),
-            left.extend_const("k", 0), left.with_changes([(9, 9)], [(1, 2)]),
+            left.extend_const("k", 0), Table.owned(left.columns, left.rows),
         ):
             assert Table(result.columns, result.rows) == result
 
