@@ -28,60 +28,65 @@ See ``examples/`` for runnable end-to-end scenarios and DESIGN.md for
 the system inventory.
 """
 
-from repro.core import (
-    ActiveDomainChecker,
-    Constraint,
-    DelayedChecker,
-    HistoryEvaluator,
-    IncrementalChecker,
-    Interval,
-    Monitor,
-    NaiveChecker,
-    RunReport,
-    StepReport,
-    Violation,
-    builder,
-    check_safe,
-    is_safe,
-    normalize,
-    parse,
-    parse_constraints,
-)
-from repro.db import (
-    DatabaseSchema,
-    DatabaseState,
-    Domain,
-    Relation,
-    RelationSchema,
-    Table,
-    Transaction,
-    TransactionBuilder,
-)
-from repro.obs import (
-    Instrumentation,
-    MetricsRegistry,
-    MonitorInstrumentation,
-    Tracer,
-)
-from repro.errors import (
-    HandlerError,
-    MonitorError,
-    ParseError,
-    RecoveryError,
-    ReproError,
-    SchemaError,
-    TimeError,
-    UnsafeFormulaError,
-)
-from repro.ingest import (
-    IngestPipeline,
-    IngestQueue,
-    Reorderer,
-    RetryPolicy,
-    RetryingSource,
-)
-from repro.resilience import FaultPolicy, QuarantineLog, StepBudget
-from repro.temporal import Clock, History, StreamGenerator, UpdateStream
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from repro.core import (
+        ActiveDomainChecker,
+        Constraint,
+        DelayedChecker,
+        HistoryEvaluator,
+        IncrementalChecker,
+        Interval,
+        Monitor,
+        NaiveChecker,
+        RunReport,
+        StepReport,
+        Violation,
+        builder,
+        check_safe,
+        is_safe,
+        normalize,
+        parse,
+        parse_constraints,
+    )
+    from repro.db import (
+        DatabaseSchema,
+        DatabaseState,
+        Domain,
+        Relation,
+        RelationSchema,
+        Table,
+        Transaction,
+        TransactionBuilder,
+    )
+    from repro.obs import (
+        Instrumentation,
+        MetricsRegistry,
+        MonitorInstrumentation,
+        Tracer,
+    )
+    from repro.errors import (
+        HandlerError,
+        MonitorError,
+        ParseError,
+        RecoveryError,
+        ReproError,
+        SchemaError,
+        TimeError,
+        UnsafeFormulaError,
+    )
+    from repro.ingest import (
+        IngestPipeline,
+        IngestQueue,
+        Reorderer,
+        RetryPolicy,
+        RetryingSource,
+    )
+    from repro.resilience import FaultPolicy, QuarantineLog, StepBudget
+    from repro.temporal import Clock, History, StreamGenerator, UpdateStream
 
 __version__ = "1.0.0"
 
@@ -136,3 +141,30 @@ __all__ = [
     "parse",
     "parse_constraints",
 ]
+
+lazy_surface(__name__, {
+    "repro.core": (
+        "ActiveDomainChecker", "Constraint", "DelayedChecker",
+        "HistoryEvaluator", "IncrementalChecker", "Interval", "Monitor",
+        "NaiveChecker", "RunReport", "StepReport", "Violation", "builder",
+        "check_safe", "is_safe", "normalize", "parse", "parse_constraints",
+    ),
+    "repro.db": (
+        "DatabaseSchema", "DatabaseState", "Domain", "Relation",
+        "RelationSchema", "Table", "Transaction", "TransactionBuilder",
+    ),
+    "repro.obs": (
+        "Instrumentation", "MetricsRegistry", "MonitorInstrumentation",
+        "Tracer",
+    ),
+    "repro.errors": (
+        "HandlerError", "MonitorError", "ParseError", "RecoveryError",
+        "ReproError", "SchemaError", "TimeError", "UnsafeFormulaError",
+    ),
+    "repro.ingest": (
+        "IngestPipeline", "IngestQueue", "Reorderer", "RetryPolicy",
+        "RetryingSource",
+    ),
+    "repro.resilience": ("FaultPolicy", "QuarantineLog", "StepBudget"),
+    "repro.temporal": ("Clock", "History", "StreamGenerator", "UpdateStream"),
+})

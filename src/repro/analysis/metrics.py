@@ -11,7 +11,6 @@ runtime rather than the algorithm.
 
 from __future__ import annotations
 
-import statistics
 import time
 from typing import List, Sequence
 
@@ -86,7 +85,9 @@ class RunMetrics:
 
     def median_step_seconds(self) -> float:
         """Median per-step checking time (robust to GC noise)."""
-        return statistics.median(self.step_seconds) if self.step_seconds else 0.0
+        from statistics import median  # for this one method; not cheap
+
+        return median(self.step_seconds) if self.step_seconds else 0.0
 
     def __repr__(self) -> str:
         return (

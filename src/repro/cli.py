@@ -98,41 +98,19 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.analysis.report import format_table
-from repro.core.bounds import profile
-from repro.core.checker import Constraint
-from repro.core.monitor import ENGINES, Monitor
-from repro.core.parser import parse_constraints
-from repro.db.storage import dump_schema, dump_stream, load_schema, load_stream
+from repro.core import ENGINES
 from repro.errors import ReproError
-from repro.workloads import (
-    library_workload,
-    orders_workload,
-    payments_workload,
-    random_workload,
-    sensors_workload,
-)
 
-WORKLOADS = {
-    "library": library_workload,
-    "orders": orders_workload,
-    "payments": payments_workload,
-    "sensors": sensors_workload,
-    "random": random_workload,
-}
+if TYPE_CHECKING:
+    from repro.core.monitor import Monitor
+
+#: ``generate --workload NAME`` builds ``repro.workloads.NAME_workload``
+WORKLOADS = ("library", "orders", "payments", "random", "sensors")
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser (exposed for doc generation/tests)."""
-    parser = argparse.ArgumentParser(
-        prog="repro-check",
-        description="Real-time integrity constraint checking "
-        "(Chomicki, PODS 1992 reproduction)",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
+def _add_check(commands) -> None:
     check = commands.add_parser(
         "check", help="check a history against constraints"
     )
@@ -202,7 +180,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="disorder bound, in clock units, for --tolerate-disorder "
              "(giving it implies the flag; default: 0)",
     )
+    _add_run_options(check)
+    check.set_defaults(handler=_command_check)
 
+
+def _add_ingest(commands) -> None:
     ingest = commands.add_parser(
         "ingest",
         help="reorder unordered arrival feeds behind a watermark "
@@ -239,108 +221,113 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="step-boundary fault policy for records that clear "
              "ingest but fail checking (default: quarantine)",
     )
+    _add_run_options(ingest)
+    ingest.set_defaults(handler=_command_ingest)
 
-    # what `check` and `ingest` share is declared once
-    for sub in (check, ingest):
-        sub.add_argument(
-            "--engine", choices=ENGINES, default="incremental",
-            help="checking engine (default: incremental)",
-        )
-        sub.add_argument(
-            "--max-lateness", type=int, default=None, metavar="L",
-            help="refuse salvageable events trailing the watermark "
-                 "frontier by more than L (default: salvage whenever "
-                 "order allows)",
-        )
-        sub.add_argument(
-            "--retry", type=int, default=None, metavar="N",
-            help="retry budget for transiently unavailable sources "
-                 "(capped jittered exponential backoff)",
-        )
-        sub.add_argument(
-            "--skew", action="append", default=None, metavar="NAME=DELTA",
-            help="per-source clock offset subtracted on arrival "
-                 "(repeatable)",
-        )
-        sub.add_argument(
-            "--trace", default=None, metavar="FILE",
-            help="write a structured JSONL span trace of the run",
-        )
-        sub.add_argument(
-            "--metrics", default=None, metavar="FILE",
-            help="write a metrics dump (Prometheus text; JSON if the "
-                 "file ends in .json)",
-        )
-        sub.add_argument(
-            "--quarantine-log", default=None, metavar="FILE",
-            help="dead-letter JSONL file for quarantined records and "
-                 "excluded arrivals (for 'check', implies "
-                 "--fault-policy quarantine)",
-        )
-        sub.add_argument(
-            "--slo", default=None, metavar="FILE",
-            help="SLO spec file (repro-slo/1 JSON); enables event-time "
-                 "telemetry, evaluates burn-rate alert rules during the "
-                 "run, and prints fired alerts and budget state",
-        )
-        sub.add_argument(
-            "--health", default=None, metavar="FILE",
-            help="write a mergeable health snapshot (repro-health/1 JSON) "
-                 "after the run; enables event-time telemetry",
-        )
-        sub.add_argument(
-            "--statewatch", action="store_true",
-            help="enable the state observatory: per-subformula auxiliary "
-                 "state accounting with bound-conformance and leak alerts "
-                 "printed after the run",
-        )
-        sub.add_argument(
-            "--flight", default=None, metavar="FILE",
-            help="flight-recorder artifact path (repro-flight/1 JSONL), "
-                 "dumped on violation, fault, or budget exhaustion "
-                 "(implies --statewatch)",
-        )
-        sub.add_argument(
-            "--state-out", default=None, metavar="FILE",
-            help="write the final state snapshot (repro-state/1 JSON) "
-                 "after the run (implies --statewatch)",
-        )
-        sub.add_argument(
-            "--max-violations", type=int, default=20,
-            help="stop printing after this many violations",
-        )
-        sub.add_argument(
-            "--quiet", action="store_true", help="exit status only"
-        )
-        sub.add_argument(
-            "--shards", type=int, default=None, metavar="N",
-            help="partition the run across N supervised shard workers "
-                 "(requires --shard-key; incremental engine only)",
-        )
-        sub.add_argument(
-            "--shard-key", default=None, metavar="ATTR",
-            help="schema attribute that keys the partition "
-                 "(required with --shards)",
-        )
-        sub.add_argument(
-            "--shard-chaos", default=None, metavar="SPEC",
-            help="inject seeded worker faults into the sharded run: "
-                 "'kills=K[,stalls=S][,seed=N]' (smoke tests; without "
-                 "a journal, crashed shards tombstone and degrade "
-                 "instead of recovering)",
-        )
-        sub.add_argument(
-            "--shard-transport", default="inline",
-            choices=("inline", "process"),
-            help="worker transport for --shards (default: inline)",
-        )
-        sub.add_argument(
-            "--shard-unkeyed", default="reject",
-            choices=("reject", "broadcast"),
-            help="policy for constraints touching no keyed relation "
-                 "(default: reject with a diagnostic)",
-        )
 
+def _add_run_options(sub) -> None:
+    """What ``check`` and ``ingest`` share, declared once."""
+    sub.add_argument(
+        "--engine", choices=ENGINES, default="incremental",
+        help="checking engine (default: incremental)",
+    )
+    sub.add_argument(
+        "--max-lateness", type=int, default=None, metavar="L",
+        help="refuse salvageable events trailing the watermark "
+             "frontier by more than L (default: salvage whenever "
+             "order allows)",
+    )
+    sub.add_argument(
+        "--retry", type=int, default=None, metavar="N",
+        help="retry budget for transiently unavailable sources "
+             "(capped jittered exponential backoff)",
+    )
+    sub.add_argument(
+        "--skew", action="append", default=None, metavar="NAME=DELTA",
+        help="per-source clock offset subtracted on arrival "
+             "(repeatable)",
+    )
+    sub.add_argument(
+        "--trace", default=None, metavar="FILE",
+        help="write a structured JSONL span trace of the run",
+    )
+    sub.add_argument(
+        "--metrics", default=None, metavar="FILE",
+        help="write a metrics dump (Prometheus text; JSON if the "
+             "file ends in .json)",
+    )
+    sub.add_argument(
+        "--quarantine-log", default=None, metavar="FILE",
+        help="dead-letter JSONL file for quarantined records and "
+             "excluded arrivals (for 'check', implies "
+             "--fault-policy quarantine)",
+    )
+    sub.add_argument(
+        "--slo", default=None, metavar="FILE",
+        help="SLO spec file (repro-slo/1 JSON); enables event-time "
+             "telemetry, evaluates burn-rate alert rules during the "
+             "run, and prints fired alerts and budget state",
+    )
+    sub.add_argument(
+        "--health", default=None, metavar="FILE",
+        help="write a mergeable health snapshot (repro-health/1 JSON) "
+             "after the run; enables event-time telemetry",
+    )
+    sub.add_argument(
+        "--statewatch", action="store_true",
+        help="enable the state observatory: per-subformula auxiliary "
+             "state accounting with bound-conformance and leak alerts "
+             "printed after the run",
+    )
+    sub.add_argument(
+        "--flight", default=None, metavar="FILE",
+        help="flight-recorder artifact path (repro-flight/1 JSONL), "
+             "dumped on violation, fault, or budget exhaustion "
+             "(implies --statewatch)",
+    )
+    sub.add_argument(
+        "--state-out", default=None, metavar="FILE",
+        help="write the final state snapshot (repro-state/1 JSON) "
+             "after the run (implies --statewatch)",
+    )
+    sub.add_argument(
+        "--max-violations", type=int, default=20,
+        help="stop printing after this many violations",
+    )
+    sub.add_argument(
+        "--quiet", action="store_true", help="exit status only"
+    )
+    sub.add_argument(
+        "--shards", type=int, default=None, metavar="N",
+        help="partition the run across N supervised shard workers "
+             "(requires --shard-key; incremental engine only)",
+    )
+    sub.add_argument(
+        "--shard-key", default=None, metavar="ATTR",
+        help="schema attribute that keys the partition "
+             "(required with --shards)",
+    )
+    sub.add_argument(
+        "--shard-chaos", default=None, metavar="SPEC",
+        help="inject seeded worker faults into the sharded run: "
+             "'kills=K[,stalls=S][,seed=N]' (smoke tests; without "
+             "a journal, crashed shards tombstone and degrade "
+             "instead of recovering)",
+    )
+    sub.add_argument(
+        "--shard-transport", default="inline",
+        choices=("inline", "process"),
+        help="worker transport for --shards (default: inline)",
+    )
+    sub.add_argument(
+        "--shard-unkeyed", default="reject",
+        choices=("reject", "broadcast"),
+        help="policy for constraints touching no keyed relation "
+             "(default: reject with a diagnostic)",
+    )
+
+
+def _add_lint(commands) -> None:
     lint = commands.add_parser(
         "lint", help="statically analyse a constraint set"
     )
@@ -395,7 +382,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="print the rule table and exit",
     )
+    lint.set_defaults(handler=_command_lint)
 
+
+def _add_plan(commands) -> None:
     plan = commands.add_parser(
         "plan",
         help="cross-constraint analysis: sharing, subsumption, bounds",
@@ -433,7 +423,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="cardinality hint for relations without an explicit "
              "--relation-size (default: 64)",
     )
+    plan.set_defaults(handler=_command_plan)
 
+
+def _add_recover(commands) -> None:
     recover = commands.add_parser(
         "recover", help="restore a crashed --journal run and continue"
     )
@@ -458,7 +451,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     recover.add_argument(
         "--quiet", action="store_true", help="exit status only"
     )
+    recover.set_defaults(handler=_command_recover)
 
+
+def _add_scrub(commands) -> None:
     scrub = commands.add_parser(
         "scrub",
         help="verify a durable journal directory's checksums; "
@@ -482,12 +478,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     scrub.add_argument(
         "--quiet", action="store_true", help="exit status only"
     )
+    scrub.set_defaults(handler=_command_scrub)
 
+
+def _add_generate(commands) -> None:
     generate = commands.add_parser(
         "generate", help="materialise a workload to disk"
     )
     generate.add_argument(
-        "--workload", choices=sorted(WORKLOADS), required=True
+        "--workload", choices=WORKLOADS, required=True
     )
     generate.add_argument("--length", type=int, default=100)
     generate.add_argument("--seed", type=int, default=0)
@@ -527,7 +526,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--max-skew", type=int, default=0, metavar="S",
         help="maximum per-source clock skew (default: 0)",
     )
+    generate.set_defaults(handler=_command_generate)
 
+
+def _add_analyze(commands) -> None:
     analyze = commands.add_parser(
         "analyze", help="print constraint compilation profiles"
     )
@@ -541,7 +543,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="JSONL trace from 'check --trace'; adds observed "
              "per-constraint runtime columns",
     )
+    analyze.set_defaults(handler=_command_analyze)
 
+
+def _add_stats(commands) -> None:
     stats = commands.add_parser(
         "stats", help="summarise a JSONL trace from 'check --trace'"
     )
@@ -563,7 +568,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
              "event-time stage latency and frontier-lag sections when "
              "the run had telemetry enabled",
     )
+    stats.set_defaults(handler=_command_stats)
 
+
+def _add_health(commands) -> None:
     health = commands.add_parser(
         "health",
         help="validate, merge, and render health snapshots "
@@ -588,7 +596,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     health.add_argument(
         "--quiet", action="store_true", help="exit status only"
     )
+    health.set_defaults(handler=_command_health)
 
+
+def _add_state(commands) -> None:
     state = commands.add_parser(
         "state",
         help="replay a history under the state observatory: inspect "
@@ -642,7 +653,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="stdout rendering (default: text)",
     )
+    state.set_defaults(handler=_command_state)
 
+
+def _add_bench(commands) -> None:
     bench = commands.add_parser(
         "bench", help="run the paper's experiments (structured runner)"
     )
@@ -678,7 +692,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true",
         help="exit non-zero when any shape expectation fails",
     )
+    bench.set_defaults(handler=_command_bench)
 
+
+def _add_perf(commands) -> None:
     perf = commands.add_parser(
         "perf", help="compare benchmark artifacts against baselines"
     )
@@ -713,6 +730,43 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="also exit non-zero on timing regressions (not just "
              "broken shapes)",
     )
+    perf.set_defaults(handler=_command_perf)
+
+
+def build_arg_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser (exposed for doc generation/tests).
+
+    Built from one ``_add_<command>`` function per subcommand; each
+    names its handler, and a handler imports what it needs when it
+    runs — ``--help`` and ``--version`` import no engine.
+    """
+    from repro import __version__
+
+    parser = argparse.ArgumentParser(
+        prog="repro-check",
+        description="Real-time integrity constraint checking "
+        "(Chomicki, PODS 1992 reproduction)",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for add in (
+        _add_check,
+        _add_ingest,
+        _add_lint,
+        _add_plan,
+        _add_recover,
+        _add_scrub,
+        _add_generate,
+        _add_analyze,
+        _add_stats,
+        _add_health,
+        _add_state,
+        _add_bench,
+        _add_perf,
+    ):
+        add(commands)
     return parser
 
 
@@ -852,13 +906,13 @@ def _run_monitor_stream(monitor: Monitor, history):
     (counted, quarantined) instead of aborting the read, and decodable
     records flow on so one bad line costs one step, not the run.
     """
+    from repro.core.violations import RunReport
+    from repro.db.storage import StreamFault, iter_stream_lenient, load_stream
+
     _require_file(history, "--history")
     resilience = monitor.resilience
     if resilience is None or resilience.policy.value == "fail_fast":
         return monitor.run(load_stream(history))
-    from repro.core.violations import RunReport
-    from repro.db.storage import StreamFault, iter_stream_lenient
-
     report = RunReport()
     for item in iter_stream_lenient(history):
         if isinstance(item, StreamFault):
@@ -1088,6 +1142,8 @@ def _print_ingest_summary(monitor: Monitor, quarantine_path=None) -> None:
 
 
 def _print_violations(report, max_violations: int) -> None:
+    from repro.analysis.report import format_table
+
     rows = []
     for violation in report.violations[:max_violations]:
         witnesses = "; ".join(
@@ -1136,6 +1192,8 @@ def _lint_constraint_file(
 
 
 def _command_lint(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
+    from repro.db.storage import load_schema
     from repro.lint import RULES, LintConfig
 
     if args.list_rules:
@@ -1206,6 +1264,7 @@ def _command_plan(args: argparse.Namespace) -> int:
 
     from repro.analysis.plan import build_plan
     from repro.core.bounds import DEFAULT_RELATION_SIZE
+    from repro.db.storage import load_schema
     from repro.lint import LintConfig, Linter, LintReport
 
     try:
@@ -1249,6 +1308,9 @@ def _command_plan(args: argparse.Namespace) -> int:
 
 
 def _command_check(args: argparse.Namespace) -> int:
+    from repro.core.monitor import Monitor
+    from repro.db.storage import load_schema, load_stream
+
     sharded = args.shards is not None
     if not sharded and (args.shard_key or args.shard_chaos):
         raise ReproError(
@@ -1349,13 +1411,18 @@ def _command_check(args: argparse.Namespace) -> int:
     return _report_run(monitor, args, report)
 
 
+def _is_sharded(monitor) -> bool:
+    from repro.core.monitor import Monitor  # loaded: a monitor exists
+
+    return not isinstance(monitor, Monitor)
+
+
 def _close_run(monitor) -> None:
     """Release what a finished (or failed) run holds open."""
-    if isinstance(monitor, Monitor):
-        if monitor.journal is not None:
-            monitor.journal.close()
-    else:
+    if _is_sharded(monitor):
         monitor.close()
+    elif monitor.journal is not None:
+        monitor.journal.close()
     if (
         monitor.resilience is not None
         and monitor.resilience.quarantine is not None
@@ -1374,18 +1441,18 @@ def _write_run_outputs(monitor, args, tracer, registry) -> None:
             write_metrics(registry, args.metrics)
     except OSError as exc:
         raise ReproError(f"cannot write telemetry: {exc}") from exc
-    if isinstance(monitor, Monitor):
+    if _is_sharded(monitor):
+        _write_sharded_health(monitor, args)
+    else:
         _write_health_snapshot(monitor, args)
         _write_state_snapshot(monitor, args)
-    else:
-        _write_sharded_health(monitor, args)
 
 
 def _report_run(monitor, args, report) -> int:
     """Print what ``check``/``ingest`` print; the exit status."""
     if args.quiet:
         return 0 if report.ok else 1
-    sharded = not isinstance(monitor, Monitor)
+    sharded = _is_sharded(monitor)
     engine_note = (
         f"sharded x{args.shards}, key: {args.shard_key}"
         if sharded else f"engine: {args.engine}"
@@ -1410,7 +1477,8 @@ def _report_run(monitor, args, report) -> int:
 
 
 def _command_ingest(args: argparse.Namespace) -> int:
-    from repro.db.storage import read_arrivals
+    from repro.core.monitor import Monitor
+    from repro.db.storage import load_schema, read_arrivals
     from repro.ingest import IterableSource
 
     sharded = args.shards is not None
@@ -1557,6 +1625,8 @@ def _render_snapshots(args: argparse.Namespace) -> int:
 def _command_state(args: argparse.Namespace) -> int:
     import json
 
+    from repro.core.monitor import Monitor
+    from repro.db.storage import load_schema, load_stream
     from repro.obs import render_state_text, write_state
 
     schema = load_schema(args.schema)
@@ -1633,6 +1703,10 @@ def _command_state(args: argparse.Namespace) -> int:
 
 
 def _command_recover(args: argparse.Namespace) -> int:
+    from repro.core.monitor import Monitor
+    from repro.core.violations import RunReport
+    from repro.db.storage import load_stream
+
     monitor, result = Monitor.recover(args.journal)
     monitor.set_fault_policy(args.fault_policy)
     if not args.quiet:
@@ -1650,8 +1724,6 @@ def _command_recover(args: argparse.Namespace) -> int:
         return 0
     _require_file(args.history, "--history")
     resumed_at = monitor.now
-    from repro.core.violations import RunReport
-
     continued = RunReport()
     for t, txn in load_stream(args.history):
         if resumed_at is not None and t <= resumed_at:
@@ -1771,7 +1843,10 @@ def _command_scrub(args: argparse.Namespace) -> int:
 
 
 def _command_generate(args: argparse.Namespace) -> int:
-    factory = WORKLOADS[args.workload]
+    from repro import workloads
+    from repro.db.storage import dump_schema, dump_stream
+
+    factory = getattr(workloads, f"{args.workload}_workload")
     if args.workload == "random":
         workload = factory()
     else:
@@ -1859,6 +1934,11 @@ def _load_trace(path) -> list:
 
 
 def _command_analyze(args: argparse.Namespace) -> int:
+    from repro.analysis.report import format_table
+    from repro.core.bounds import profile
+    from repro.core.checker import Constraint
+    from repro.core.parser import parse_constraints
+
     text = Path(args.constraints).read_text()
     observed = {}
     if args.trace:
@@ -1939,6 +2019,7 @@ def _print_event_time_sections(path, percentiles: bool) -> None:
     """Event-time stage/lag tables from a JSON metrics dump."""
     import json
 
+    from repro.analysis.report import format_table
     from repro.obs.telemetry import EVENT_FRONTIER_LAG, STAGE_FAMILIES
 
     try:
@@ -1987,6 +2068,7 @@ def _print_event_time_sections(path, percentiles: bool) -> None:
 
 def _command_stats(args: argparse.Namespace) -> int:
     from repro.analysis.ascii_plot import bar_chart
+    from repro.analysis.report import format_table
     from repro.obs import DEFAULT_LATENCY_BUCKETS, percentile
 
     events = _load_trace(args.trace)
@@ -2234,31 +2316,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
     args = build_arg_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return _command_check(args)
-        if args.command == "ingest":
-            return _command_ingest(args)
-        if args.command == "lint":
-            return _command_lint(args)
-        if args.command == "plan":
-            return _command_plan(args)
-        if args.command == "generate":
-            return _command_generate(args)
-        if args.command == "stats":
-            return _command_stats(args)
-        if args.command == "health":
-            return _command_health(args)
-        if args.command == "state":
-            return _command_state(args)
-        if args.command == "bench":
-            return _command_bench(args)
-        if args.command == "perf":
-            return _command_perf(args)
-        if args.command == "recover":
-            return _command_recover(args)
-        if args.command == "scrub":
-            return _command_scrub(args)
-        return _command_analyze(args)
+        return args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

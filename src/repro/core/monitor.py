@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
+from repro.core import ENGINES
 from repro.core.checker import Constraint, IncrementalChecker
 from repro.core.formulas import Formula
-from repro.core.naive import NaiveChecker
 from repro.core.parser import parse, parse_constraints
 from repro.core.violations import RunReport, StepReport
 from repro.db.database import DatabaseState
@@ -50,8 +50,6 @@ from repro.resilience.policy import (
 )
 from repro.temporal.clock import Timestamp
 from repro.temporal.stream import UpdateStream
-
-ENGINES = ("incremental", "naive", "naive-memo", "active", "adom")
 
 #: Engines whose per-constraint evaluation loop supports deadline
 #: shedding (the active engine evaluates inside rule firings).
@@ -637,6 +635,8 @@ class Monitor(MonitorFacade):
             self._publish_sharing_metrics(checker)
             return checker
         if self.engine in ("naive", "naive-memo"):
+            from repro.core.naive import NaiveChecker
+
             return NaiveChecker(
                 self.schema, self.constraints, initial=self.initial,
                 memoize=self.engine == "naive-memo",

@@ -9,27 +9,32 @@ transactions, a pure relational algebra
 update streams.
 """
 
-from repro.db.algebra import Table
-from repro.db.database import DatabaseState
-from repro.db.relation import Relation
-from repro.db.schema import (
-    Attribute,
-    DatabaseSchema,
-    RelationSchema,
-    SchemaBuilder,
-)
-from repro.db.storage import (
-    dump_arrivals,
-    dump_schema,
-    dump_stream,
-    load_schema,
-    load_stream,
-    read_arrivals,
-    read_stream,
-    write_stream,
-)
-from repro.db.transactions import Transaction, TransactionBuilder
-from repro.db.types import Domain, Row, Value
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from repro.db.algebra import Table
+    from repro.db.database import DatabaseState
+    from repro.db.relation import Relation
+    from repro.db.schema import (
+        Attribute,
+        DatabaseSchema,
+        RelationSchema,
+        SchemaBuilder,
+    )
+    from repro.db.storage import (
+        dump_arrivals,
+        dump_schema,
+        dump_stream,
+        load_schema,
+        load_stream,
+        read_arrivals,
+        read_stream,
+        write_stream,
+    )
+    from repro.db.transactions import Transaction, TransactionBuilder
+    from repro.db.types import Domain, Row, Value
 
 __all__ = [
     "Attribute",
@@ -53,3 +58,18 @@ __all__ = [
     "read_stream",
     "write_stream",
 ]
+
+lazy_surface(__name__, {
+    "repro.db.algebra": ("Table",),
+    "repro.db.database": ("DatabaseState",),
+    "repro.db.relation": ("Relation",),
+    "repro.db.schema": (
+        "Attribute", "DatabaseSchema", "RelationSchema", "SchemaBuilder",
+    ),
+    "repro.db.storage": (
+        "dump_arrivals", "dump_schema", "dump_stream", "load_schema",
+        "load_stream", "read_arrivals", "read_stream", "write_stream",
+    ),
+    "repro.db.transactions": ("Transaction", "TransactionBuilder"),
+    "repro.db.types": ("Domain", "Row", "Value"),
+})

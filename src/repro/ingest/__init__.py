@@ -33,17 +33,22 @@ engines — and every excluded event is accounted for in the quarantine
 log and metrics.  See ``docs/robustness.md``.
 """
 
-from repro.ingest.pipeline import IngestPipeline, as_source
-from repro.ingest.queue import BackpressurePolicy, IngestQueue
-from repro.ingest.reorder import Reorderer
-from repro.ingest.sources import (
-    CircuitBreaker,
-    FlakySource,
-    IterableSource,
-    RetryPolicy,
-    RetryingSource,
-    Source,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from repro.ingest.pipeline import IngestPipeline, as_source
+    from repro.ingest.queue import BackpressurePolicy, IngestQueue
+    from repro.ingest.reorder import Reorderer
+    from repro.ingest.sources import (
+        CircuitBreaker,
+        FlakySource,
+        IterableSource,
+        RetryPolicy,
+        RetryingSource,
+        Source,
+    )
 
 __all__ = [
     "BackpressurePolicy",
@@ -58,3 +63,13 @@ __all__ = [
     "Source",
     "as_source",
 ]
+
+lazy_surface(__name__, {
+    "repro.ingest.pipeline": ("IngestPipeline", "as_source"),
+    "repro.ingest.queue": ("BackpressurePolicy", "IngestQueue"),
+    "repro.ingest.reorder": ("Reorderer",),
+    "repro.ingest.sources": (
+        "CircuitBreaker", "FlakySource", "IterableSource", "RetryPolicy",
+        "RetryingSource", "Source",
+    ),
+})

@@ -37,43 +37,48 @@ command line, and ``Monitor(..., strict=True)`` which rejects
 constraints carrying error diagnostics at registration.
 """
 
-from repro.lint.diagnostics import (
-    JSON_SCHEMA_VERSION,
-    Diagnostic,
-    LintReport,
-    Severity,
-)
-from repro.lint.linter import (
-    Linter,
-    lint_paths,
-    reject_lint_errors,
-    split_constraint_chunks,
-)
-from repro.lint.registry import (
-    DEFAULT_CONFIG,
-    RULES,
-    LintConfig,
-    LintRule,
-    resolve_rule,
-)
-from repro.lint.rules import (
-    canonical_form,
-    check_bounded_history,
-    check_duplicates,
-    check_interference,
-    check_intervals,
-    check_monitor_config,
-    check_safety,
-    check_schema,
-    check_types,
-    check_vacuity,
-)
-from repro.lint.sharing import (
-    check_shardability,
-    check_sharing,
-    check_state_budget,
-    check_subsumption,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from repro.lint.diagnostics import (
+        JSON_SCHEMA_VERSION,
+        Diagnostic,
+        LintReport,
+        Severity,
+    )
+    from repro.lint.linter import (
+        Linter,
+        lint_paths,
+        reject_lint_errors,
+        split_constraint_chunks,
+    )
+    from repro.lint.registry import (
+        DEFAULT_CONFIG,
+        RULES,
+        LintConfig,
+        LintRule,
+        resolve_rule,
+    )
+    from repro.lint.rules import (
+        canonical_form,
+        check_bounded_history,
+        check_duplicates,
+        check_interference,
+        check_intervals,
+        check_monitor_config,
+        check_safety,
+        check_schema,
+        check_types,
+        check_vacuity,
+    )
+    from repro.lint.sharing import (
+        check_shardability,
+        check_sharing,
+        check_state_budget,
+        check_subsumption,
+    )
 
 __all__ = [
     "Severity",
@@ -104,3 +109,24 @@ __all__ = [
     "check_state_budget",
     "check_shardability",
 ]
+
+lazy_surface(__name__, {
+    "repro.lint.diagnostics": (
+        "JSON_SCHEMA_VERSION", "Diagnostic", "LintReport", "Severity",
+    ),
+    "repro.lint.linter": (
+        "Linter", "lint_paths", "reject_lint_errors", "split_constraint_chunks",
+    ),
+    "repro.lint.registry": (
+        "DEFAULT_CONFIG", "RULES", "LintConfig", "LintRule", "resolve_rule",
+    ),
+    "repro.lint.rules": (
+        "canonical_form", "check_bounded_history", "check_duplicates",
+        "check_interference", "check_intervals", "check_monitor_config",
+        "check_safety", "check_schema", "check_types", "check_vacuity",
+    ),
+    "repro.lint.sharing": (
+        "check_shardability", "check_sharing", "check_state_budget",
+        "check_subsumption",
+    ),
+})

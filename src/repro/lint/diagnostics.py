@@ -16,9 +16,8 @@ it), *warning* means it is almost certainly not what the author meant,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.paths import FormulaPath
 
@@ -49,8 +48,60 @@ class Severity(IntEnum):
             ) from None
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Record:
+    """An immutable value: fields in ``__slots__``, equal by value.
+
+    What ``@dataclass(frozen=True)`` provides, written out.  Importing
+    ``dataclasses`` brings ``inspect``, ``ast``, ``dis`` and
+    ``tokenize`` with it — several milliseconds that every strict-mode
+    start-up paid for the linter's three small value classes.  A
+    subclass lists its fields in ``__slots__`` and takes them, in that
+    order, in ``__init__`` (handing them to :meth:`_init`).
+    """
+
+    __slots__ = ()
+    #: fields that take no part in ``==`` and ``hash``
+    _uncompared: Tuple[str, ...] = ()
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(
+            getattr(self, name) for name in self.__slots__
+            if name not in self._uncompared
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Record) or (
+            other.__class__ is not self.__class__
+        ):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(
+            getattr(self, name) for name in self.__slots__
+        )
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Diagnostic(Record):
     """One linter finding.
 
     Attributes:
@@ -67,13 +118,25 @@ class Diagnostic:
         hint: optional suggestion for fixing the finding.
     """
 
-    code: str
-    severity: Severity
-    message: str
-    constraint: Optional[str] = None
-    location: Optional[str] = None
-    path: Optional[FormulaPath] = field(default=None, compare=False)
-    hint: Optional[str] = None
+    __slots__ = (
+        "code", "severity", "message", "constraint", "location", "path",
+        "hint",
+    )
+    _uncompared = ("path",)
+
+    def __init__(
+        self,
+        code: str,
+        severity: Severity,
+        message: str,
+        constraint: Optional[str] = None,
+        location: Optional[str] = None,
+        path: Optional[FormulaPath] = None,
+        hint: Optional[str] = None,
+    ):
+        self._init(
+            code, severity, message, constraint, location, path, hint
+        )
 
     def format(self) -> str:
         """One-line text rendering: ``code severity [constraint] message``."""

@@ -11,9 +11,8 @@ pairs, active-rule programs, and monitor configurations.  The CLI
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.active.rules import Rule
 from repro.core.formulas import Formula, FormulaError
 from repro.core.parser import Parser, _try_label, tokenize
 from repro.core.intervals import IntervalError
@@ -23,6 +22,9 @@ from repro.lint import rules as _rules
 from repro.lint import sharing as _sharing
 from repro.lint.diagnostics import Diagnostic, LintReport
 from repro.lint.registry import DEFAULT_CONFIG, LintConfig
+
+if TYPE_CHECKING:
+    from repro.active.rules import Rule
 
 _LABEL_RE = re.compile(r"^\s*([A-Za-z_][\w-]*)\s*:")
 

@@ -10,14 +10,12 @@ code or name, severities overridden, and the analyses parameterised
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional
 
-from repro.lint.diagnostics import Severity
+from repro.lint.diagnostics import Record, Severity
 
 
-@dataclass(frozen=True)
-class LintRule:
+class LintRule(Record):
     """Metadata for one analysis rule.
 
     Attributes:
@@ -27,10 +25,11 @@ class LintRule:
         description: one-line summary used in docs and ``--list-rules``.
     """
 
-    code: str
-    name: str
-    default_severity: Severity
-    description: str
+    __slots__ = ("code", "name", "default_severity", "description")
+
+    def __init__(self, code: str, name: str, default_severity: Severity,
+                 description: str):
+        self._init(code, name, default_severity, description)
 
 
 #: Every registered rule, in code order.
@@ -108,8 +107,7 @@ def resolve_rule(key: str) -> LintRule:
     return rule
 
 
-@dataclass(frozen=True)
-class LintConfig:
+class LintConfig(Record):
     """Per-run linter configuration.
 
     Attributes:
@@ -130,13 +128,25 @@ class LintConfig:
             ``None`` disables the check.
     """
 
-    disabled: FrozenSet[str] = frozenset()
-    severity_overrides: Mapping[str, Severity] = field(
-        default_factory=dict)
-    clock_granularity: int = 1
-    require_bounded: bool = False
-    state_budget: Optional[int] = None
-    shard_key: Optional[str] = None
+    __slots__ = (
+        "disabled", "severity_overrides", "clock_granularity",
+        "require_bounded", "state_budget", "shard_key",
+    )
+
+    def __init__(
+        self,
+        disabled: FrozenSet[str] = frozenset(),
+        severity_overrides: Optional[Mapping[str, Severity]] = None,
+        clock_granularity: int = 1,
+        require_bounded: bool = False,
+        state_budget: Optional[int] = None,
+        shard_key: Optional[str] = None,
+    ):
+        self._init(
+            disabled,
+            {} if severity_overrides is None else severity_overrides,
+            clock_granularity, require_bounded, state_budget, shard_key,
+        )
 
     @classmethod
     def build(

@@ -14,10 +14,10 @@ and assembles a report.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+)
 
-from repro.active.events import Event
-from repro.active.rules import Rule
 from repro.core.bounds import clock_horizon
 from repro.core.formulas import (
     FALSE,
@@ -49,6 +49,9 @@ from repro.db.types import Domain
 from repro.errors import SchemaError
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import LintConfig
+
+if TYPE_CHECKING:
+    from repro.active.rules import Rule
 
 #: Past operators whose windows bound the auxiliary state.
 _PAST_OPERATORS = (Prev, Once, Hist, Since)
@@ -606,12 +609,6 @@ def check_duplicates(
     return [d for d in out if d is not None]
 
 
-def _trigger_relation(rule: Rule) -> Optional[str]:
-    if rule.pattern.kind in (Event.INSERT, Event.DELETE):
-        return rule.pattern.relation
-    return None
-
-
 def check_interference(
     rules: Sequence[Rule],
     constraints: Sequence[Tuple[str, Formula]],
@@ -625,14 +622,18 @@ def check_interference(
     relation whose insert/delete events trigger ``b``; every cycle —
     including self-loops — is reported once.
     """
-    if not config.enabled("RTC010"):
+    if not config.enabled("RTC010") or not rules:
         return []
+    from repro.active.events import Event  # loaded: the caller has rules
+
     out: List[Diagnostic] = []
     declared = [r for r in rules if r.writes is not None]
     triggers: Dict[str, List[Rule]] = {}
     for rule in rules:
-        relation = _trigger_relation(rule)
-        if relation is not None:
+        relation = rule.pattern.relation
+        if relation is not None and (
+            rule.pattern.kind in (Event.INSERT, Event.DELETE)
+        ):
             triggers.setdefault(relation, []).append(rule)
     edges: Dict[str, List[str]] = {r.name: [] for r in declared}
     for rule in declared:

@@ -50,71 +50,76 @@ violations, faults, and budget exhaustion (``Monitor.
 enable_statewatch()`` / ``repro state``).
 """
 
-from repro.obs.bench import (
-    BENCH_SCHEMA,
-    build_artifact,
-    percentile,
-    read_artifact,
-    validate_artifact,
-    write_artifact,
-)
-from repro.obs.export import (
-    render_json,
-    render_prometheus,
-    write_metrics,
-)
-from repro.obs.flight import (
-    FLIGHT_VERSION,
-    FlightRecorder,
-    read_flight,
-    validate_flight,
-)
-from repro.obs.health import (
-    HEALTH_VERSION,
-    build_health,
-    build_sharded_health,
-    load_health,
-    merge_health,
-    render_health_text,
-    validate_health,
-    write_health,
-)
-from repro.obs.instrument import Instrumentation, MonitorInstrumentation
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.profiler import Profile, Profiler
-from repro.obs.regress import (
-    compare_artifacts,
-    compare_dirs,
-    format_report,
-)
-from repro.obs.slo import (
-    INDICATORS,
-    SLO_VERSION,
-    SLOAlert,
-    SLOEngine,
-    SLOSpec,
-    load_slo_file,
-    parse_slo_doc,
-)
-from repro.obs.statewatch import (
-    STATE_VERSION,
-    SpaceSavingSketch,
-    StateAlert,
-    StateWatch,
-    load_state,
-    render_state_text,
-    validate_state,
-    write_state,
-)
-from repro.obs.telemetry import EventTimeTelemetry
-from repro.obs.tracer import Tracer, read_trace
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from repro.obs.bench import (
+        BENCH_SCHEMA,
+        build_artifact,
+        percentile,
+        read_artifact,
+        validate_artifact,
+        write_artifact,
+    )
+    from repro.obs.export import (
+        render_json,
+        render_prometheus,
+        write_metrics,
+    )
+    from repro.obs.flight import (
+        FLIGHT_VERSION,
+        FlightRecorder,
+        read_flight,
+        validate_flight,
+    )
+    from repro.obs.health import (
+        HEALTH_VERSION,
+        build_health,
+        build_sharded_health,
+        load_health,
+        merge_health,
+        render_health_text,
+        validate_health,
+        write_health,
+    )
+    from repro.obs.instrument import Instrumentation, MonitorInstrumentation
+    from repro.obs.metrics import (
+        DEFAULT_LATENCY_BUCKETS,
+        DEFAULT_SIZE_BUCKETS,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+    )
+    from repro.obs.profiler import Profile, Profiler
+    from repro.obs.regress import (
+        compare_artifacts,
+        compare_dirs,
+        format_report,
+    )
+    from repro.obs.slo import (
+        INDICATORS,
+        SLO_VERSION,
+        SLOAlert,
+        SLOEngine,
+        SLOSpec,
+        load_slo_file,
+        parse_slo_doc,
+    )
+    from repro.obs.statewatch import (
+        STATE_VERSION,
+        SpaceSavingSketch,
+        StateAlert,
+        StateWatch,
+        load_state,
+        render_state_text,
+        validate_state,
+        write_state,
+    )
+    from repro.obs.telemetry import EventTimeTelemetry
+    from repro.obs.tracer import Tracer, read_trace
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -170,3 +175,38 @@ __all__ = [
     "write_metrics",
     "write_state",
 ]
+
+lazy_surface(__name__, {
+    "repro.obs.bench": (
+        "BENCH_SCHEMA", "build_artifact", "percentile", "read_artifact",
+        "validate_artifact", "write_artifact",
+    ),
+    "repro.obs.export": ("render_json", "render_prometheus", "write_metrics"),
+    "repro.obs.flight": (
+        "FLIGHT_VERSION", "FlightRecorder", "read_flight", "validate_flight",
+    ),
+    "repro.obs.health": (
+        "HEALTH_VERSION", "build_health", "build_sharded_health",
+        "load_health", "merge_health", "render_health_text", "validate_health",
+        "write_health",
+    ),
+    "repro.obs.instrument": ("Instrumentation", "MonitorInstrumentation"),
+    "repro.obs.metrics": (
+        "DEFAULT_LATENCY_BUCKETS", "DEFAULT_SIZE_BUCKETS", "Counter", "Gauge",
+        "Histogram", "MetricsRegistry",
+    ),
+    "repro.obs.profiler": ("Profile", "Profiler"),
+    "repro.obs.regress": (
+        "compare_artifacts", "compare_dirs", "format_report",
+    ),
+    "repro.obs.slo": (
+        "INDICATORS", "SLO_VERSION", "SLOAlert", "SLOEngine", "SLOSpec",
+        "load_slo_file", "parse_slo_doc",
+    ),
+    "repro.obs.statewatch": (
+        "STATE_VERSION", "SpaceSavingSketch", "StateAlert", "StateWatch",
+        "load_state", "render_state_text", "validate_state", "write_state",
+    ),
+    "repro.obs.telemetry": ("EventTimeTelemetry",),
+    "repro.obs.tracer": ("Tracer", "read_trace"),
+})

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -110,6 +109,8 @@ def fit_slope(
 def environment_fingerprint() -> Dict[str, Any]:
     """Where this artifact was measured (never compared as equal runs
     across differing fingerprints without a warning)."""
+    import platform  # for this one function; not cheap to import
+
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),

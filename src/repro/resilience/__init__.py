@@ -35,39 +35,44 @@ checkpoint format in :mod:`repro.core.persist`
 full walkthrough.
 """
 
-from repro.core.persist import RecoveryResult, RunJournal, read_journal, recover
-from repro.resilience.chaos import (
-    FAULT_KINDS,
-    ROTATION_FAILPOINTS,
-    SHARD_FAULT_MODES,
-    STORAGE_FAULT_KINDS,
-    FaultyStream,
-    IngestChaosPlan,
-    InjectedFault,
-    ShardChaosPlan,
-    SimulatedCrash,
-    StorageChaosPlan,
-    assert_lint_clean,
-    crash_after,
-    disorder_arrivals,
-    duplicate_arrivals,
-    inject_faults,
-    inject_storage_faults,
-    plan_ingest_chaos,
-    plan_shard_chaos,
-    plan_storage_chaos,
-    run_until_crash,
-    split_sources,
-)
-from repro.resilience.degrade import StepBudget
-from repro.resilience.policy import (
-    FAULT_ERRORS,
-    FaultPolicy,
-    FaultRecord,
-    QuarantineLog,
-    ResilienceRuntime,
-    classify_fault,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from repro.core.persist import RecoveryResult, RunJournal, read_journal, recover
+    from repro.resilience.chaos import (
+        FAULT_KINDS,
+        ROTATION_FAILPOINTS,
+        SHARD_FAULT_MODES,
+        STORAGE_FAULT_KINDS,
+        FaultyStream,
+        IngestChaosPlan,
+        InjectedFault,
+        ShardChaosPlan,
+        SimulatedCrash,
+        StorageChaosPlan,
+        assert_lint_clean,
+        crash_after,
+        disorder_arrivals,
+        duplicate_arrivals,
+        inject_faults,
+        inject_storage_faults,
+        plan_ingest_chaos,
+        plan_shard_chaos,
+        plan_storage_chaos,
+        run_until_crash,
+        split_sources,
+    )
+    from repro.resilience.degrade import StepBudget
+    from repro.resilience.policy import (
+        FAULT_ERRORS,
+        FaultPolicy,
+        FaultRecord,
+        QuarantineLog,
+        ResilienceRuntime,
+        classify_fault,
+    )
 
 __all__ = [
     "FAULT_ERRORS",
@@ -103,3 +108,23 @@ __all__ = [
     "run_until_crash",
     "split_sources",
 ]
+
+lazy_surface(__name__, {
+    "repro.core.persist": (
+        "RecoveryResult", "RunJournal", "read_journal", "recover",
+    ),
+    "repro.resilience.chaos": (
+        "FAULT_KINDS", "ROTATION_FAILPOINTS", "SHARD_FAULT_MODES",
+        "STORAGE_FAULT_KINDS", "FaultyStream", "IngestChaosPlan",
+        "InjectedFault", "ShardChaosPlan", "SimulatedCrash",
+        "StorageChaosPlan", "assert_lint_clean", "crash_after",
+        "disorder_arrivals", "duplicate_arrivals", "inject_faults",
+        "inject_storage_faults", "plan_ingest_chaos", "plan_shard_chaos",
+        "plan_storage_chaos", "run_until_crash", "split_sources",
+    ),
+    "repro.resilience.degrade": ("StepBudget",),
+    "repro.resilience.policy": (
+        "FAULT_ERRORS", "FaultPolicy", "FaultRecord", "QuarantineLog",
+        "ResilienceRuntime", "classify_fault",
+    ),
+})

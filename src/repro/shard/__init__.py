@@ -28,22 +28,27 @@ Chaos injection for sharded runs lives with the other injectors in
 (:func:`~repro.resilience.plan_shard_chaos`).
 """
 
-from repro.shard.merge import merge_fragments, union_tables
-from repro.shard.monitor import MANIFEST_NAME, ShardedMonitor
-from repro.shard.partition import (
-    PLAN_VERSION,
-    ShardPlan,
-    stable_hash,
-)
-from repro.shard.supervisor import ShardSupervisor
-from repro.shard.worker import (
-    InlineWorker,
-    ProcessWorker,
-    ShardServer,
-    WorkerSpec,
-    build_worker_monitor,
-    recover_worker_monitor,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from repro.shard.merge import merge_fragments, union_tables
+    from repro.shard.monitor import MANIFEST_NAME, ShardedMonitor
+    from repro.shard.partition import (
+        PLAN_VERSION,
+        ShardPlan,
+        stable_hash,
+    )
+    from repro.shard.supervisor import ShardSupervisor
+    from repro.shard.worker import (
+        InlineWorker,
+        ProcessWorker,
+        ShardServer,
+        WorkerSpec,
+        build_worker_monitor,
+        recover_worker_monitor,
+    )
 
 __all__ = [
     "MANIFEST_NAME",
@@ -61,3 +66,14 @@ __all__ = [
     "stable_hash",
     "union_tables",
 ]
+
+lazy_surface(__name__, {
+    "repro.shard.merge": ("merge_fragments", "union_tables"),
+    "repro.shard.monitor": ("MANIFEST_NAME", "ShardedMonitor"),
+    "repro.shard.partition": ("PLAN_VERSION", "ShardPlan", "stable_hash"),
+    "repro.shard.supervisor": ("ShardSupervisor",),
+    "repro.shard.worker": (
+        "InlineWorker", "ProcessWorker", "ShardServer", "WorkerSpec",
+        "build_worker_monitor", "recover_worker_monitor",
+    ),
+})

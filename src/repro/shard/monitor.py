@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from repro.core.checker import Constraint
 from repro.core.formulas import Formula
@@ -47,11 +47,12 @@ from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
 from repro.errors import HistoryError, MonitorError
 from repro.resilience.policy import FAULT_ERRORS, classify_fault
-from repro.shard.partition import PLAN_VERSION, ShardPlan
-from repro.shard.supervisor import ShardSupervisor
-from repro.shard.worker import WorkerSpec
 from repro.temporal.clock import Timestamp, validate_successor
 from repro.temporal.stream import UpdateStream
+
+if TYPE_CHECKING:
+    from repro.shard.supervisor import ShardSupervisor
+    from repro.shard.worker import WorkerSpec
 
 MANIFEST_NAME = "shard-plan.json"
 
@@ -128,6 +129,8 @@ class ShardedMonitor(MonitorFacade):
             quarantine_log: optional
                 :class:`~repro.resilience.QuarantineLog` or path.
         """
+        from repro.shard.partition import ShardPlan
+
         super().__init__(
             schema, instrumentation, fault_policy, quarantine_log
         )
@@ -199,6 +202,8 @@ class ShardedMonitor(MonitorFacade):
     # ------------------------------------------------------------------
 
     def _specs(self) -> List[WorkerSpec]:
+        from repro.shard.worker import WorkerSpec
+
         return [
             WorkerSpec(
                 shard,
@@ -218,6 +223,8 @@ class ShardedMonitor(MonitorFacade):
     def _write_manifest(self) -> None:
         if self.journal_root is None:
             return
+        from repro.shard.partition import PLAN_VERSION
+
         self.journal_root.mkdir(parents=True, exist_ok=True)
         manifest = {
             "version": PLAN_VERSION,
@@ -238,6 +245,8 @@ class ShardedMonitor(MonitorFacade):
             raise MonitorError(
                 "register at least one constraint before stepping"
             )
+        from repro.shard.supervisor import ShardSupervisor
+
         if not recovered:
             self._write_manifest()
         return ShardSupervisor(
@@ -424,6 +433,8 @@ class ShardedMonitor(MonitorFacade):
             ``(monitor, info)`` — ``info`` has per-shard recovery
             detail and the global ``resume_from`` frontier.
         """
+        from repro.shard.partition import PLAN_VERSION
+
         root = Path(journal_root)
         path = root / MANIFEST_NAME
         if not path.is_file():

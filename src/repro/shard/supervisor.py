@@ -50,6 +50,7 @@ from repro.shard.worker import (
     InlineWorker,
     ProcessWorker,
     WorkerSpec,
+    never_attached,
     recover_worker_monitor,
 )
 from repro.temporal.clock import Timestamp
@@ -153,6 +154,8 @@ class ShardSupervisor:
         self.urgent = tuple(urgent)
         self.metrics = metrics
         self.on_fault = on_fault
+        #: the pool was rebuilt from its journals (a supervisor restart)
+        self.recovered = recovered
         n = len(specs)
         self._events: List[List[dict]] = [
             list(chaos.for_shard(s)) if chaos is not None else []
@@ -200,6 +203,11 @@ class ShardSupervisor:
     def _spawn(self, spec: WorkerSpec, recovered: bool = False):
         events = self._events[spec.shard]
         if self.transport == "process":
+            if spec.journal_dir is not None:
+                # what a journaled child needs (and the store behind
+                # it): a forked child inherits the modules imported
+                # here, instead of every worker compiling them again
+                import repro.core.persist  # noqa: F401
             worker = ProcessWorker(spec, chaos=events, recovered=recovered)
             worker.frame_steps = max(1, self.mailbox_capacity // 2)
             worker.on_frame = self._note_frame
@@ -332,7 +340,16 @@ class ShardSupervisor:
             e for e in self._events[shard]
             if not e.get("fired") and e.get("step", -1) > crash_seq
         ]
-        replacement = self._spawn(spec, recovered=True)
+        # a worker killed in its start-up window (before its attach
+        # checkpoint) left nothing to recover, and nothing it did was
+        # ever acknowledged: it starts over.  Any other journal that
+        # does not recover still costs the shard.
+        start_over = (
+            not self.recovered
+            and self.last_applied[shard] is None
+            and never_attached(spec)
+        )
+        replacement = self._spawn(spec, recovered=not start_over)
         self.workers[shard] = replacement
         self.stall_counts[shard] = 0
         self._pressure_armed[shard] = False

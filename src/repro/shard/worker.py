@@ -161,6 +161,21 @@ def recover_worker_monitor(spec: WorkerSpec):
     return monitor, replayed, recovery
 
 
+def never_attached(spec: WorkerSpec) -> bool:
+    """Whether the shard's journal directory holds nothing to recover.
+
+    True when no checkpoint generation loads *and* no journal record
+    is readable: what a worker killed in its start-up window — before
+    its attach checkpoint was renamed into place — leaves behind.  It
+    served no step, so a fresh worker may take the directory over.
+    """
+    from repro.store.segment import SegmentStore
+
+    with SegmentStore(spec.journal_dir, lock=False) as store:
+        snapshot = store.load()
+    return snapshot.document is None and not snapshot.records
+
+
 def degraded_fragment(time, constraints) -> StepReport:
     """The fragment for a verdict that is lost but accounted.
 

@@ -23,44 +23,49 @@ with a ``REPRO_FSYNC=off`` escape hatch honoured only by ``True`` —
 see :func:`fsync_enabled`.
 """
 
-from repro.store.base import (
-    FSYNC_ENV,
-    RepairReport,
-    ScrubFinding,
-    ScrubReport,
-    StateStore,
-    StoreSnapshot,
-    SYNC_FORCE,
-    fsync_enabled,
-)
-from repro.store.lock import JournalLock, process_start_token
-from repro.store.memory import MemoryStore
-from repro.store.record import (
-    STORE_MAGIC,
-    SegmentScan,
-    decode_record,
-    encode_record,
-    payload_digest,
-    scan_segment,
-)
-from repro.store.scrub import (
-    find_store_directories,
-    is_store_directory,
-    repair_directory,
-    repair_tree,
-    scrub_directory,
-    scrub_tree,
-)
-from repro.store.segment import (
-    FAILPOINT_ENV,
-    FAILPOINT_EXIT,
-    FAILPOINTS,
-    SegmentStore,
-    list_segments,
-    segment_epoch,
-    segment_name,
-)
-from repro.store.sqlite import ColdAnchorStore, sqlite_available
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_surface
+
+if TYPE_CHECKING:
+    from repro.store.base import (
+        FSYNC_ENV,
+        RepairReport,
+        ScrubFinding,
+        ScrubReport,
+        StateStore,
+        StoreSnapshot,
+        SYNC_FORCE,
+        fsync_enabled,
+    )
+    from repro.store.lock import JournalLock, process_start_token
+    from repro.store.memory import MemoryStore
+    from repro.store.record import (
+        STORE_MAGIC,
+        SegmentScan,
+        decode_record,
+        encode_record,
+        payload_digest,
+        scan_segment,
+    )
+    from repro.store.scrub import (
+        find_store_directories,
+        is_store_directory,
+        repair_directory,
+        repair_tree,
+        scrub_directory,
+        scrub_tree,
+    )
+    from repro.store.segment import (
+        FAILPOINT_ENV,
+        FAILPOINT_EXIT,
+        FAILPOINTS,
+        SegmentStore,
+        list_segments,
+        segment_epoch,
+        segment_name,
+    )
+    from repro.store.sqlite import ColdAnchorStore, sqlite_available
 
 __all__ = [
     "ColdAnchorStore",
@@ -96,3 +101,25 @@ __all__ = [
     "segment_name",
     "sqlite_available",
 ]
+
+lazy_surface(__name__, {
+    "repro.store.base": (
+        "FSYNC_ENV", "RepairReport", "ScrubFinding", "ScrubReport",
+        "StateStore", "StoreSnapshot", "SYNC_FORCE", "fsync_enabled",
+    ),
+    "repro.store.lock": ("JournalLock", "process_start_token"),
+    "repro.store.memory": ("MemoryStore",),
+    "repro.store.record": (
+        "STORE_MAGIC", "SegmentScan", "decode_record", "encode_record",
+        "payload_digest", "scan_segment",
+    ),
+    "repro.store.scrub": (
+        "find_store_directories", "is_store_directory", "repair_directory",
+        "repair_tree", "scrub_directory", "scrub_tree",
+    ),
+    "repro.store.segment": (
+        "FAILPOINT_ENV", "FAILPOINT_EXIT", "FAILPOINTS", "SegmentStore",
+        "list_segments", "segment_epoch", "segment_name",
+    ),
+    "repro.store.sqlite": ("ColdAnchorStore", "sqlite_available"),
+})

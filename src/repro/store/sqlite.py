@@ -35,13 +35,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from importlib.util import find_spec
 from pathlib import Path
 from typing import Dict, List, Optional, Union
-
-try:
-    import sqlite3
-except ImportError:  # pragma: no cover - stdlib module absent
-    sqlite3 = None
 
 from repro.errors import StoreCorruption, StoreError
 from repro.store.base import fsync_enabled
@@ -51,8 +47,14 @@ PathLike = Union[str, Path]
 
 
 def sqlite_available() -> bool:
-    """Whether the cold tier can be used in this interpreter."""
-    return sqlite3 is not None
+    """Whether the cold tier can be used in this interpreter.
+
+    Asks for the C extension (what a build without SQLite lacks)
+    without importing it: ``sqlite3`` is loaded by the first
+    :class:`ColdAnchorStore`, when a checkpoint spills or reads cold
+    rows, not by every journal.
+    """
+    return find_spec("_sqlite3") is not None
 
 
 def _node_digest(checksums: List[str]) -> str:
@@ -67,11 +69,15 @@ class ColdAnchorStore:
     """Generational SQLite table of cold anchor rows."""
 
     def __init__(self, path: PathLike):
-        if sqlite3 is None:  # pragma: no cover - stdlib module absent
+        try:
+            import sqlite3
+        except ImportError:  # pragma: no cover - stdlib module absent
             raise StoreError(
                 "sqlite3 is unavailable in this interpreter; "
                 "the cold anchor tier cannot be used"
-            )
+            ) from None
+        #: what a damaged database file raises (for the methods below)
+        self._database_error = sqlite3.DatabaseError
         self.path = Path(path)
         try:
             self._conn = sqlite3.connect(self.path)
@@ -177,7 +183,7 @@ class ColdAnchorStore:
                 "WHERE gen = ?",
                 (gen,),
             ).fetchall()
-        except sqlite3.DatabaseError as exc:
+        except self._database_error as exc:
             raise StoreCorruption(
                 f"cold tier {self.path} unreadable at generation "
                 f"{gen}: {exc}",
@@ -241,7 +247,7 @@ class ColdAnchorStore:
                 "SELECT DISTINCT gen FROM cold_meta ORDER BY gen"
             )
             return [gen for (gen,) in cursor.fetchall()]
-        except sqlite3.DatabaseError as exc:
+        except self._database_error as exc:
             raise StoreCorruption(
                 f"cold tier {self.path} unreadable: {exc}",
                 kind="garbled", path=self.path,

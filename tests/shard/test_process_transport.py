@@ -27,10 +27,10 @@ def reference(items):
     return [single.step(t, txn) for t, txn in items]
 
 
-def make_sharded(tmp_path, **kwargs):
+def make_sharded(tmp_path, transport="process", **kwargs):
     monitor = ShardedMonitor(
         SCHEMA, key="k", shards=2, journal_root=tmp_path,
-        transport="process", **kwargs
+        transport=transport, **kwargs
     )
     monitor.add_constraint("window", "q(x) -> ONCE[0,3] p(x)")
     return monitor
