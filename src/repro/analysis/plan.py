@@ -9,8 +9,8 @@ A constraint *set* is more analyzable than its constraints one by one:
   temporal subformula of every constraint's violation kernel into
   rename-equivalence classes (:func:`canonical_key` generalises the
   linter's whole-constraint canonicalisation to arbitrary subtrees)
-  and reports the sharing map the incremental checker exploits with
-  ``Monitor(share_subformulas=True)``.
+  and reports the sharing map the incremental checker realises: it
+  keeps one auxiliary state per class.
 
 * **Static cost/memory bounds** — every class carries the
   :class:`~repro.core.bounds.NodeCost` model (estimated valuations ×
@@ -177,8 +177,8 @@ class SharingClass:
     @property
     def needs_rename(self) -> bool:
         """Whether members are rename-variants rather than structurally
-        identical (structural duplicates are deduplicated by the
-        checker even without ``share_subformulas``)."""
+        identical (one state then serves them through a column
+        renaming)."""
         return self.distinct_nodes > 1
 
     @property
@@ -583,7 +583,7 @@ class Plan:
 
     def sharing_map(self) -> Dict[str, List[str]]:
         """Canonical key -> sorted owning constraints, shared classes
-        only (the map ``Monitor(share_subformulas=True)`` realises)."""
+        only (the map the checker realises)."""
         return {
             c.key: c.constraints for c in self.classes if c.shared
         }

@@ -31,8 +31,6 @@ state bounds as a ``repro-plan/1`` document (``--format json``) or a
 text summary, with the planner-backed diagnostics RTC013–RTC016 and
 the same severity exit convention (``--state-budget``/``--shard-key``
 arm the gated rules; ``--relation-size rel=N`` tunes the cost model).
-``check --share-subformulas`` opts the incremental engine into the
-sharing the plan predicts.
 ``generate`` materialises a workload into the on-disk format ``check``
 consumes.  ``analyze`` prints each constraint's compilation profile —
 safety verdict, clock horizon, temporal node counts — and, given a
@@ -124,11 +122,6 @@ def _add_check(commands) -> None:
     )
     check.add_argument(
         "--history", required=True, help="JSONL update stream"
-    )
-    check.add_argument(
-        "--share-subformulas", action="store_true",
-        help="maintain rename-equivalent temporal subformulas once "
-             "across constraints (incremental engine only)",
     )
     check.add_argument(
         "--resume-from", default=None,
@@ -1382,7 +1375,6 @@ def _command_check(args: argparse.Namespace) -> int:
                 quarantine_log=args.quarantine_log,
                 step_deadline=args.step_deadline,
                 urgent=args.urgent or (),
-                share_subformulas=args.share_subformulas,
             )
             monitor.add_constraints_text(Path(args.constraints).read_text())
     if not sharded:

@@ -42,7 +42,11 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.core.auxiliary import make_auxiliary
 from repro.core.checker import Constraint
 from repro.core.engine import Engine
-from repro.core.foeval import AtomProvider, relation_atom_table
+from repro.core.foeval import (
+    AtomProvider,
+    StateTablesProvider,
+    relation_atom_table,
+)
 from repro.core.formulas import (
     Aggregate,
     And,
@@ -309,23 +313,6 @@ class _AdomPointProvider(AtomProvider):
 # the incremental active-domain checker
 # ----------------------------------------------------------------------
 
-class _AdomStateProvider(AtomProvider):
-    def __init__(self, state: DatabaseState, virtual: Dict[Formula, Table]):
-        self.state = state
-        self.virtual = virtual
-
-    def atom_table(self, atom: Atom) -> Table:
-        return relation_atom_table(self.state.relation(atom.relation), atom)
-
-    def temporal_table(self, formula: Formula) -> Table:
-        try:
-            return self.virtual[formula]
-        except KeyError:
-            raise MonitorError(
-                f"virtual table missing for {formula}"
-            ) from None
-
-
 class ActiveDomainChecker(Engine):
     """Incremental checking under prefix-active-domain semantics.
 
@@ -365,7 +352,7 @@ class ActiveDomainChecker(Engine):
         #: virtual tables of the most recent step (for diagnose())
         self._last_virtual: Dict[Formula, Table] = {}
         # the most recent step's provider and (frozen) domain
-        self._provider = _AdomStateProvider(self.state, self._last_virtual)
+        self._provider = StateTablesProvider(self.state, self._last_virtual)
         self._domain_now: FrozenSet[Value] = frozenset(self.domain)
 
     def step_state(self, time: Timestamp, state: DatabaseState) -> StepReport:
@@ -390,7 +377,7 @@ class ActiveDomainChecker(Engine):
     def _advance_auxiliary(self, time: Timestamp) -> None:
         self._domain_now = frozenset(self.domain)
         self._last_virtual = {}
-        self._provider = _AdomStateProvider(self.state, self._last_virtual)
+        self._provider = StateTablesProvider(self.state, self._last_virtual)
         super()._advance_auxiliary(time)
 
     def _evaluate_now(

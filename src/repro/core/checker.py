@@ -5,11 +5,13 @@ constraints over an evolving database *without ever storing the
 history*.  Its per-step work is:
 
 1. apply the transaction to obtain the new current state;
-2. walk all temporal subformulas bottom-up (deduplicated structurally
-   across constraints), letting each auxiliary state
+2. walk all temporal subformulas bottom-up (one auxiliary state per
+   class of subformulas equal up to variable names, across
+   constraints), letting each auxiliary state
    (:mod:`repro.core.auxiliary`) fold the new state into its bounded
    history encoding and emit its *virtual table* — the subformula's
-   satisfying valuations at the new time;
+   satisfying valuations at the new time, fanned out to the class's
+   nodes by renaming columns;
 3. evaluate every constraint's violation formula over the new state
    plus the virtual tables, reporting witnesses for non-empty answers.
 
@@ -29,7 +31,7 @@ are exactly the violating valuations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.auxiliary import AuxiliaryState, make_auxiliary
 from repro.core.engine import Engine
@@ -146,7 +148,6 @@ class IncrementalChecker(Engine):
         collapse_unbounded: bool = True,
         instrumentation=None,
         strict: bool = False,
-        share_subformulas: bool = False,
     ):
         """Args:
             schema: the database schema.
@@ -162,14 +163,6 @@ class IncrementalChecker(Engine):
             strict: lint the constraint set at construction and raise
                 :class:`~repro.errors.LintError` on error-severity
                 diagnostics (see :mod:`repro.lint`).
-            share_subformulas: maintain one auxiliary state per
-                *rename-equivalence* class of temporal subformulas and
-                fan its virtual table out to the member nodes via
-                column renaming, instead of one per structurally
-                distinct node.  Verdicts are identical; overlapping
-                constraint sets advance each shared class once per
-                step (see :mod:`repro.analysis.plan` and benchmark
-                E14).
         """
         constraints = list(constraints)
         if strict:
@@ -183,60 +176,44 @@ class IncrementalChecker(Engine):
         #: step by step (``initial`` stays the caller's)
         self.state = self._base_state(initial).owned_copy()
         self.collapse_unbounded = collapse_unbounded
-        self.share_subformulas = bool(share_subformulas)
-        # one auxiliary state per *structurally distinct* temporal node,
-        # shared across constraints; insertion order is bottom-up.  With
-        # share_subformulas, one per *rename-equivalence* class instead:
-        # the first-seen node represents its class and _shared_members
-        # lists the other member nodes with the column renaming that
-        # turns the representative's virtual table into theirs.
-        self._shared_members: Dict[
-            Formula, List["tuple[Formula, Dict[str, str]]"]
+        # one auxiliary state per *rename-equivalence class* of temporal
+        # nodes, shared across constraints; insertion order is bottom-up.
+        # The first-seen node represents its class; _node_class maps
+        # every node to its representative and the column renaming that
+        # turns the representative's virtual table into the node's own
+        # (empty: none needed).
+        self._node_class: Dict[
+            Formula, Tuple[Formula, Dict[str, str]]
         ] = {}
-        if self.share_subformulas:
-            class_of: Dict[str, Formula] = {}
-            rep_mapping: Dict[Formula, Dict[str, str]] = {}
-            registered: set = set()
-            for c in self.constraints:
-                for node in c.violation_formula.temporal_subformulas():
-                    if node in registered:
-                        continue
-                    registered.add(node)
-                    canonical, mapping = canonicalize_variant(node)
-                    key = str(canonical)
-                    representative = class_of.get(key)
-                    if representative is None:
-                        class_of[key] = node
-                        rep_mapping[node] = mapping
-                        self._aux[node] = make_auxiliary(
-                            node, collapse_unbounded
-                        )
-                        self._shared_members[node] = []
-                    else:
-                        # rep column -> member column, through the
-                        # canonical names (both mappings are injective
-                        # and free variables map to free variables)
-                        inverse = {
-                            canon: var for var, canon in mapping.items()
-                        }
-                        columns = {
-                            var: inverse[canon]
-                            for var, canon in
-                            rep_mapping[representative].items()
-                            if var in representative.free_vars
-                        }
-                        if all(k == v for k, v in columns.items()):
-                            columns = {}  # identity: fan out unrenamed
-                        self._shared_members[representative].append(
-                            (node, columns)
-                        )
-        else:
-            for c in self.constraints:
-                for node in c.violation_formula.temporal_subformulas():
-                    if node not in self._aux:
-                        self._aux[node] = make_auxiliary(
-                            node, collapse_unbounded
-                        )
+        class_of: Dict[str, Formula] = {}
+        rep_mapping: Dict[Formula, Dict[str, str]] = {}
+        for c in self.constraints:
+            for node in c.violation_formula.temporal_subformulas():
+                if node in self._node_class:
+                    continue
+                canonical, mapping = canonicalize_variant(node)
+                key = str(canonical)
+                representative = class_of.get(key)
+                if representative is None:
+                    class_of[key] = node
+                    rep_mapping[node] = mapping
+                    self._aux[node] = make_auxiliary(
+                        node, collapse_unbounded
+                    )
+                    self._node_class[node] = (node, {})
+                    continue
+                # rep column -> member column, through the canonical
+                # names (both mappings are injective and free
+                # variables map to free variables)
+                inverse = {canon: var for var, canon in mapping.items()}
+                columns = {
+                    var: inverse[canon]
+                    for var, canon in rep_mapping[representative].items()
+                    if var in representative.free_vars
+                }
+                if all(k == v for k, v in columns.items()):
+                    columns = {}  # identity: fan out unrenamed
+                self._node_class[node] = (representative, columns)
         # every formula evaluated per step is a maintained view
         # (repro.core.views), compiled here once: each temporal node's
         # operand (shared by the nodes that have it), SINCE's left
@@ -267,6 +244,12 @@ class IncrementalChecker(Engine):
         # what a step does per auxiliary state (Engine._schedule); the
         # target handed to _publish is the node's cell and the cells of
         # the nodes sharing its state, with their column renamings
+        members: Dict[Formula, list] = {node: [] for node in self._aux}
+        for node, (representative, columns) in self._node_class.items():
+            if node is not representative:
+                members[representative].append(
+                    (self._provider.cell(node), columns)
+                )
         contextual_views: List[View] = []
         for node, aux in self._aux.items():
             if isinstance(node, Since):
@@ -283,14 +266,7 @@ class IncrementalChecker(Engine):
                 aux,
                 evaluator,
                 self._node_labels[node],
-                (
-                    self._provider.cell(node),
-                    [
-                        (self._provider.cell(member), columns)
-                        for member, columns
-                        in self._shared_members.get(node, ())
-                    ],
-                ),
+                (self._provider.cell(node), members[node]),
             ))
         self._constraint_views = [
             View(c.violation_formula) for c in self.constraints
@@ -307,13 +283,25 @@ class IncrementalChecker(Engine):
         #: (``None`` when the state was installed as a whole: no delta
         #: for the views to follow)
         self._changes: Optional[Dict[str, Delta]] = None
-        # telemetry attribution: with sharing, member nodes attribute
-        # to their class representative's aux state
-        node_aux: Dict[Formula, AuxiliaryState] = dict(self._aux)
-        for representative, members in self._shared_members.items():
-            for member, _columns in members:
-                node_aux[member] = self._aux[representative]
-        self._attribute_aux(node_aux)
+        # telemetry attribution: a node attributes to its class's state
+        self._attribute_aux({
+            node: self._aux[representative]
+            for node, (representative, _) in self._node_class.items()
+        })
+
+    def auxiliary_of(
+        self, node: Formula
+    ) -> Optional[Tuple[AuxiliaryState, Dict[str, str]]]:
+        """The auxiliary state serving ``node`` — its own when it
+        represents its rename-equivalence class, the representative's
+        otherwise — and the renaming from that state's valuation columns
+        to ``node``'s (empty when they coincide); ``None`` for a node
+        no constraint of this checker has."""
+        found = self._node_class.get(node)
+        if found is None:
+            return None
+        representative, columns = found
+        return self._aux[representative], columns
 
     # ------------------------------------------------------------------
     # the step (template: repro.core.engine.Engine)
@@ -399,18 +387,17 @@ class IncrementalChecker(Engine):
     def sharing_stats(self) -> Dict[str, float]:
         """Dedup accounting of auxiliary maintenance.
 
-        ``classes`` is the number of auxiliary states actually
-        maintained; ``shared_nodes`` counts the structurally distinct
-        temporal nodes served by another class member's state (always 0
-        without ``share_subformulas``); ``dedup_ratio`` is maintained
-        states over distinct nodes (1.0 = nothing shared).
+        ``classes`` is the number of auxiliary states maintained (one
+        per rename-equivalence class); ``shared_nodes`` counts the
+        structurally distinct temporal nodes served by another class
+        member's state; ``dedup_ratio`` is maintained states over
+        distinct nodes (1.0 = nothing shared).
         """
-        members = sum(len(v) for v in self._shared_members.values())
         classes = len(self._aux)
-        distinct = classes + members
+        distinct = len(self._node_class)
         return {
             "classes": float(classes),
-            "shared_nodes": float(members),
+            "shared_nodes": float(distinct - classes),
             "distinct_nodes": float(distinct),
             "dedup_ratio": (classes / distinct) if distinct else 1.0,
         }

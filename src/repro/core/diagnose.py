@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.checker import IncrementalChecker
-from repro.core.foeval import evaluate
+from repro.core.foeval import StateTablesProvider, evaluate
 from repro.core.formulas import And, Formula, Not, Once, Prev, Since
 from repro.core.violations import Violation
 from repro.db.algebra import Table
@@ -71,14 +71,10 @@ def _conjunct_verdict(checker, part, witness) -> Optional[bool]:
     try:
         if isinstance(checker, IncrementalChecker):
             return not evaluate(part, checker._provider, context).is_empty
-        from repro.core.adom import (
-            ActiveDomainChecker,
-            _AdomStateProvider,
-            evaluate_adom,
-        )
+        from repro.core.adom import ActiveDomainChecker, evaluate_adom
 
         if isinstance(checker, ActiveDomainChecker):
-            provider = _AdomStateProvider(
+            provider = StateTablesProvider(
                 checker.state, checker._last_virtual
             )
             table = evaluate_adom(
@@ -161,9 +157,17 @@ def anchor_evidence(
         return "witness does not bind this subformula"
     key = tuple(witness[c] for c in columns)
 
-    aux_map = getattr(checker, "_aux", None)
-    if aux_map is not None and node in aux_map:
-        anchors = aux_map[node].anchors_of(key)
+    lookup = getattr(checker, "auxiliary_of", None)
+    found = lookup(node) if lookup is not None else None
+    if found is not None:
+        aux, renaming = found
+        if renaming:
+            # the state keeps its representative's valuations: read the
+            # witness through the class's column renaming
+            key = tuple(
+                witness[renaming[c]] for c in sorted(renaming)
+            )
+        anchors = aux.anchors_of(key)
         if isinstance(node, Prev):
             return _describe_prev(anchors is not None)
         return _describe_anchors(anchors, now, node.interval)  # type: ignore[attr-defined]
@@ -209,11 +213,6 @@ def anchor_evidence(
         )
 
     return "no auxiliary state"
-
-
-#: Backwards-compatible alias (pre-generalisation internal name).
-def _anchor_evidence(checker, node, witness) -> str:
-    return anchor_evidence(checker, node, witness)
 
 
 def witness_evidence(

@@ -50,7 +50,7 @@ from repro.core.formulas import (
 from repro.core.safety import analyze, explain_unsafe, order_conjuncts
 from repro.db.algebra import Table, tuple_of
 from repro.db.types import Row, Value
-from repro.errors import UnsafeFormulaError
+from repro.errors import MonitorError, UnsafeFormulaError
 
 #: When True (default) conjunctions are processed selectivity-first:
 #: among the evaluable conjuncts, filters (comparisons, negations) go
@@ -456,6 +456,26 @@ class AtomProvider:
     def temporal_table(self, formula: Formula) -> Table:
         """Satisfying valuations of a temporal subformula at the eval point."""
         raise NotImplementedError
+
+
+class StateTablesProvider(AtomProvider):
+    """Atoms from a database state, temporal subformulas from a map of
+    virtual tables that whoever advances the auxiliary states fills."""
+
+    def __init__(self, state, virtual: Dict[Formula, Table]):
+        self.state = state
+        self.virtual = virtual
+
+    def atom_table(self, atom: Atom) -> Table:
+        return relation_atom_table(self.state.relation(atom.relation), atom)
+
+    def temporal_table(self, formula: Formula) -> Table:
+        try:
+            return self.virtual[formula]
+        except KeyError:
+            raise MonitorError(
+                f"virtual table missing for {formula}"
+            ) from None
 
 
 def evaluate(

@@ -38,7 +38,12 @@ from repro.core.auxiliary import AuxiliaryState, make_auxiliary
 from repro.core.bounds import future_horizon
 from repro.core.checker import Constraint
 from repro.core.statespace import AuxAccounting
-from repro.core.foeval import AtomProvider, evaluate, relation_atom_table
+from repro.core.foeval import (
+    AtomProvider,
+    StateTablesProvider,
+    evaluate,
+    relation_atom_table,
+)
 from repro.core.formulas import (
     Atom,
     Eventually,
@@ -228,7 +233,7 @@ class DelayedChecker(AuxAccounting):
     def _absorb(self, time: Timestamp, state: DatabaseState) -> None:
         """Advance past aux with the arriving state; buffer it."""
         past_virtual: Dict[Formula, Table] = {}
-        provider = _ArrivalProvider(state, past_virtual)
+        provider = StateTablesProvider(state, past_virtual)
 
         def evaluate_now(
             formula: Formula, context: Optional[Table] = None
@@ -374,21 +379,3 @@ class DelayedChecker(AuxAccounting):
         return profile
 
 
-class _ArrivalProvider(AtomProvider):
-    """Provider used while advancing past aux at arrival time."""
-
-    def __init__(self, state: DatabaseState, virtual: Dict[Formula, Table]):
-        self.state = state
-        self.virtual = virtual
-
-    def atom_table(self, atom: Atom) -> Table:
-        return relation_atom_table(self.state.relation(atom.relation), atom)
-
-    def temporal_table(self, formula: Formula) -> Table:
-        try:
-            return self.virtual[formula]
-        except KeyError:
-            raise MonitorError(
-                f"virtual table missing for {formula}; past nodes must "
-                f"not contain future operators"
-            ) from None

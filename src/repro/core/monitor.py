@@ -317,7 +317,6 @@ class Monitor(MonitorFacade):
         urgent: Sequence[str] = (),
         strict: bool = False,
         lint_config=None,
-        share_subformulas: bool = False,
     ):
         """Args:
             schema: the database schema.
@@ -354,30 +353,15 @@ class Monitor(MonitorFacade):
                 registration; defaults to the standard configuration
                 (with the safe-range rule disabled for the ``adom``
                 engine, which evaluates outside the safe fragment).
-            share_subformulas: maintain one auxiliary state per
-                rename-equivalence class of temporal subformulas
-                instead of one per structurally distinct node, fanning
-                each class's virtual table out to its owning
-                constraints.  Verdicts are bit-for-bit identical to the
-                unshared run; overlapping constraint sets get faster
-                steps and less state (see :mod:`repro.analysis.plan`,
-                ``repro plan``, and benchmark E14).  Incremental
-                engine only.
         """
         if engine not in ENGINES:
             raise MonitorError(
                 f"unknown engine {engine!r}; choose from {ENGINES}"
             )
-        if share_subformulas and engine != "incremental":
-            raise MonitorError(
-                f"share_subformulas requires the incremental engine, "
-                f"not {engine!r}"
-            )
         self.engine = engine
         super().__init__(
             schema, instrumentation, fault_policy, quarantine_log
         )
-        self.share_subformulas = bool(share_subformulas)
         self.initial = initial
         self.strict = strict
         self.lint_config = lint_config
@@ -630,7 +614,6 @@ class Monitor(MonitorFacade):
             checker = IncrementalChecker(
                 self.schema, self.constraints, initial=self.initial,
                 instrumentation=self.instrumentation,
-                share_subformulas=self.share_subformulas,
             )
             self._publish_sharing_metrics(checker)
             return checker
@@ -879,10 +862,7 @@ class Monitor(MonitorFacade):
     @classmethod
     def _around(cls, checker: IncrementalChecker) -> "Monitor":
         """A monitor whose engine is the restored ``checker``."""
-        monitor = cls(
-            checker.schema, engine="incremental",
-            share_subformulas=checker.share_subformulas,
-        )
+        monitor = cls(checker.schema, engine="incremental")
         monitor.constraints = list(checker.constraints)
         monitor._checker = checker
         return monitor

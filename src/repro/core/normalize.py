@@ -179,8 +179,8 @@ def canonicalize_variant(
     the rename-equivalence class representative.  Two formulas are
     rename-equivalent iff their canonical variants are structurally
     equal — the hash-cons key of the cross-constraint planner
-    (:mod:`repro.analysis.plan`) and of shared auxiliary maintenance
-    (``Monitor(share_subformulas=True)``).
+    (:mod:`repro.analysis.plan`) and of the incremental checker's
+    auxiliary states (one per class).
     """
     mapping = canonical_variables(formula)
     return rename_all_variables(formula, mapping), mapping

@@ -11,8 +11,11 @@ tests.
 
 Constraints are stored as their concrete syntax (``str(formula)``),
 which the parser round-trips; auxiliary relations are stored in the
-checker's bottom-up registration order, which reconstruction
-reproduces deterministically from the constraints.
+checker's bottom-up registration order — one per rename-equivalence
+class of temporal nodes — which reconstruction reproduces
+deterministically from the constraints.  Documents written when every
+structurally distinct node had its own entry are told by their length
+and still load (:func:`restore_checker`).
 
 Durability is delegated to the :mod:`repro.store` seam:
 
@@ -71,7 +74,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.auxiliary import OnceState, SinceState
 from repro.core.checker import Constraint, IncrementalChecker
@@ -110,8 +113,8 @@ JOURNAL_NAME = "journal.jsonl"
 __all__ = [
     "CHECKPOINT_NAME", "JOURNAL_NAME", "LOCK_NAME", "FORMAT_VERSION",
     "JournalLock", "RunJournal", "RecoveryResult", "checkpoint_dict",
-    "restore_checker", "save_checker", "load_checker", "read_journal",
-    "recover", "tiered_checkpoint", "merge_cold_rows", "cold_node_ids",
+    "restore_checker", "save_checker", "load_checker", "recover",
+    "tiered_checkpoint", "merge_cold_rows", "cold_node_ids",
 ]
 
 PathLike = Union[str, Path]
@@ -130,7 +133,6 @@ def checkpoint_dict(checker: IncrementalChecker) -> dict:
             for c in checker.constraints
         ],
         "collapse_unbounded": checker.collapse_unbounded,
-        "share_subformulas": checker.share_subformulas,
         "time": checker._time,
         "index": checker._index,
         "state": checker.state.to_dict(),
@@ -239,17 +241,31 @@ def restore_checker(document: dict) -> IncrementalChecker:
         constraints,
         initial=state,
         collapse_unbounded=document["collapse_unbounded"],
-        share_subformulas=document.get("share_subformulas", False),
     )
     checker._time = document["time"]
     checker._index = document["index"]
 
     saved = document["aux"]
     nodes = list(checker._aux)
-    if len(saved) != len(nodes):
+    distinct = list(dict.fromkeys(
+        node
+        for c in constraints
+        for node in c.violation_formula.temporal_subformulas()
+    ))
+    if len(saved) == len(distinct) != len(nodes):
+        # written before one state served a whole rename-equivalence
+        # class: one entry per structurally distinct node, in the same
+        # bottom-up order.  A non-representative's entry is a renaming
+        # of its representative's, so only the representatives' load.
+        saved = [
+            entry for node, entry in zip(distinct, saved)
+            if node in checker._aux
+        ]
+    elif len(saved) != len(nodes):
         raise MonitorError(
             f"checkpoint has {len(saved)} auxiliary states but the "
-            f"constraints define {len(nodes)} temporal nodes"
+            f"constraints define {len(nodes)} (in {len(distinct)} "
+            f"temporal nodes)"
         )
     for node, entry in zip(nodes, saved):
         if entry.get("cold") or (
@@ -528,45 +544,6 @@ class RunJournal:
             f"{self.records_written} record(s), "
             f"{self.checkpoints_written} checkpoint(s))"
         )
-
-
-def read_journal(path: PathLike) -> Iterator[Tuple[int, Transaction]]:
-    """Parse a *legacy* plain-JSONL journal file, strictly.
-
-    A record that fails to parse is reported as
-    :class:`RecoveryError` with its line number.  This is the strict
-    reader for legacy files; recovery itself goes through the store's
-    lenient truncate-to-last-valid scan and never raises for a torn
-    tail.
-    """
-    path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise RecoveryError(
-            f"cannot read journal {path}: {exc}"
-        ) from None
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            time = record["t"]
-            txn = Transaction.from_dict(record)
-        except (ValueError, KeyError, TypeError, ReproError) as exc:
-            tail = " (torn tail from a crash mid-write?)" if (
-                lineno == len(lines)
-            ) else ""
-            raise RecoveryError(
-                f"{path}:{lineno}: corrupted journal record"
-                f"{tail}: {type(exc).__name__}: {exc}"
-            ) from None
-        if not isinstance(time, int):
-            raise RecoveryError(
-                f"{path}:{lineno}: corrupted journal record: "
-                f"timestamp must be an int, got {time!r}"
-            )
-        yield time, txn
 
 
 class RecoveryResult:

@@ -60,9 +60,14 @@ overrides the hooks over its auxiliary tables.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.auxiliary import OnceState, SinceState, deep_size
+from repro.core.auxiliary import (
+    AuxiliaryState,
+    OnceState,
+    SinceState,
+    deep_size,
+)
 from repro.core.formulas import Formula
 from repro.db.types import Row
 
@@ -105,6 +110,16 @@ class AuxAccounting:
     def aux_nodes(self) -> List[Formula]:
         """Temporal subformulas with attributable auxiliary state."""
         return list(self._aux.keys())
+
+    def auxiliary_of(
+        self, node: Formula
+    ) -> Optional[Tuple[AuxiliaryState, Dict[str, str]]]:
+        """The auxiliary state serving ``node`` and the renaming from
+        that state's valuation columns to ``node``'s (empty: they are
+        the same); ``None`` when no state serves it.  An engine whose
+        states serve several nodes overrides this."""
+        aux = self._aux.get(node)
+        return None if aux is None else (aux, {})
 
     def _aux_labels(self) -> Dict[Formula, str]:
         """Cached ``node -> str(node)`` map (labels are per-step keys;
@@ -197,11 +212,15 @@ class AuxAccounting:
 
     def state_profile(self, deep: bool = True) -> Dict[str, object]:
         """Full accounting snapshot (see the module docstring)."""
-        shared = constraint_node_names(self.constraints)
+        owners: Dict[int, set] = {}
+        for node, names in constraint_node_names(self.constraints).items():
+            found = self.auxiliary_of(node)
+            if found is not None:
+                owners.setdefault(id(found[0]), set()).update(names)
         nodes: Dict[str, Dict] = {}
         for node, aux in self._aux.items():
             entry = aux.state_profile(deep)
-            entry["constraints"] = sorted(shared.get(node, []))
+            entry["constraints"] = sorted(owners.get(id(aux), ()))
             nodes[str(node)] = entry
         return {
             "engine": self.engine_label,

@@ -71,9 +71,9 @@ RULES: List[LintRule] = [
     LintRule("RTC012", "parse-error", Severity.ERROR,
              "The constraint text could not be parsed."),
     LintRule("RTC013", "shared-subformula", Severity.INFO,
-             "Several constraints maintain rename-equivalent temporal "
-             "subformulas; shared auxiliary maintenance would evaluate "
-             "the class once."),
+             "Several constraints have rename-equivalent temporal "
+             "subformulas; the incremental checker serves them from "
+             "one auxiliary state."),
     LintRule("RTC014", "subsumed-constraint", Severity.WARNING,
              "A constraint is implied by another (theta-subsumption of "
              "the violation kernels): every violation it reports is "

@@ -3,10 +3,9 @@
 These rules run the :mod:`repro.analysis.plan` analysis over the whole
 constraint set and surface its findings as diagnostics:
 
-* **RTC013** — several constraints maintain rename-equivalent temporal
-  subformulas that only differ in variable names; shared auxiliary
-  maintenance (``Monitor(share_subformulas=True)``) would evaluate the
-  class once.
+* **RTC013** — several constraints have temporal subformulas that
+  only differ in variable names; the incremental checker serves them
+  from one auxiliary state (the finding says which constraints share).
 * **RTC014** — a constraint is θ-subsumed by a more general one, so
   every violation it reports is already reported.
 * **RTC015** — with a configured ``state_budget``, the statically
@@ -57,8 +56,8 @@ def check_sharing(
 
     Fires once per equivalence class that spans several constraints
     *and* whose members are rename-variants rather than structurally
-    identical — structural duplicates are already deduplicated by the
-    incremental checker without opting in to sharing.
+    identical: the constraints it names read one auxiliary state
+    through different column names.
     """
     if not config.enabled("RTC013"):
         return []
@@ -70,13 +69,10 @@ def check_sharing(
         owners = ", ".join(cls.constraints)
         out.append(_diag(
             config, "RTC013",
-            f"constraints {owners} maintain rename-equivalent "
-            f"auxiliary state for {cls.key} "
-            f"({cls.distinct_nodes} copies, predicted "
-            f"<= {cls.cost.tuple_bound} tuples each)",
-            hint="enable Monitor(share_subformulas=True) to maintain "
-                 "the class once; `repro plan` shows the full "
-                 "sharing map",
+            f"constraints {owners} share one auxiliary state for "
+            f"{cls.key} ({cls.distinct_nodes} rename-variant nodes, "
+            f"predicted <= {cls.cost.tuple_bound} tuples)",
+            hint="`repro plan` shows the full sharing map",
         ))
     return [d for d in out if d is not None]
 

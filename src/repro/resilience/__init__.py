@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_surface
 
 if TYPE_CHECKING:
-    from repro.core.persist import RecoveryResult, RunJournal, read_journal, recover
+    from repro.core.persist import RecoveryResult, RunJournal, recover
     from repro.resilience.chaos import (
         FAULT_KINDS,
         ROTATION_FAILPOINTS,
@@ -103,16 +103,13 @@ __all__ = [
     "plan_ingest_chaos",
     "plan_shard_chaos",
     "plan_storage_chaos",
-    "read_journal",
     "recover",
     "run_until_crash",
     "split_sources",
 ]
 
 lazy_surface(__name__, {
-    "repro.core.persist": (
-        "RecoveryResult", "RunJournal", "read_journal", "recover",
-    ),
+    "repro.core.persist": ("RecoveryResult", "RunJournal", "recover"),
     "repro.resilience.chaos": (
         "FAULT_KINDS", "ROTATION_FAILPOINTS", "SHARD_FAULT_MODES",
         "STORAGE_FAULT_KINDS", "FaultyStream", "IngestChaosPlan",

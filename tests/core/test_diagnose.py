@@ -198,3 +198,93 @@ class TestDiagnoseAllEngines:
         assert anchor_evidence(checker, node, {}) == (
             "witness does not bind this subformula"
         )
+
+
+class TestClassMembers:
+    """One auxiliary state serves every node of a rename-equivalence
+    class; the evidence for a member is the representative's, read
+    through the class's column renaming."""
+
+    SCHEMA = DatabaseSchema.from_dict(
+        {"p": ["a"], "q": ["a"], "r": ["a", "b"], "s": ["a", "b"]}
+    )
+
+    #: (representative's constraint, a member's, steps, expected evidence)
+    CASES = {
+        "anchor pruned": (
+            "p(x1) -> ONCE[0,3] q(x1)",
+            "p(y1) -> ONCE[0,3] q(y1)",
+            [(0, ins("q", (1,))),
+             (1, Transaction({}, {"q": [(1,)]})),
+             (9, ins("p", (1,)))],
+            "ONCE[0,3]: no anchors stored for this valuation",
+        ),
+        "anchor stored outside the window": (
+            "p(x1) -> ONCE[20,*] q(x1)",
+            "p(y1) -> ONCE[20,*] q(y1)",
+            [(0, ins("q", (1,))), (5, ins("p", (1,)))],
+            "ONCE[20,*]: 1 anchor(s) stored but none inside [20,*]; "
+            "nearest is 5 units old",
+        ),
+        # the member's sorted columns (y1, z1) are the representative's
+        # (x2, x1) the other way round
+        "columns permuted": (
+            "r(x1, x2) -> ONCE[5,*] s(x1, x2)",
+            "r(z1, y1) -> ONCE[5,*] s(z1, y1)",
+            [(0, ins("s", (1, 2))), (3, ins("r", (1, 2)))],
+            "ONCE[5,*]: 1 anchor(s) stored but none inside [5,*]; "
+            "nearest is 3 units old",
+        ),
+        "prev": (
+            "q(x1) -> PREV p(x1)",
+            "q(y1) -> PREV p(y1)",
+            [(0, Transaction({})),
+             (1, Transaction({"p": [(1,)], "q": [(1,)]}))],
+            "PREV[0,*]: operand holds at the current state "
+            "(visible next step)",
+        ),
+    }
+
+    def run(self, case):
+        first, second, steps, expected = self.CASES[case]
+        checker = IncrementalChecker(
+            self.SCHEMA, [Constraint("c1", first), Constraint("c2", second)]
+        )
+        assert checker.sharing_stats()["shared_nodes"] == 1.0
+        for time, txn in steps:
+            report = checker.step(time, txn)
+        assert [v.constraint for v in report.violations] == ["c1", "c2"]
+        return checker, report, expected
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_member_evidence_is_the_representatives(self, case):
+        checker, report, expected = self.run(case)
+        representative, member = (
+            diagnose(checker, v) for v in report.violations
+        )
+        assert expected in representative
+        renaming = (
+            {"z1": "x1", "y1": "x2"} if case == "columns permuted"
+            else {"y1": "x1"}
+        )
+        member = member.replace("'c2'", "'c1'")
+        for theirs, ours in renaming.items():
+            member = member.replace(theirs, ours)
+        assert member == representative
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_flight_dump_carries_it(self, case, tmp_path):
+        from repro.obs import FlightRecorder, read_flight
+
+        checker, report, expected = self.run(case)
+        flight = FlightRecorder(tmp_path / "flight.jsonl")
+        flight.dump(checker, "violation", report)
+        first, second = read_flight(flight.path)["evidence"]
+        assert (first["constraint"], second["constraint"]) == ("c1", "c2")
+        for entry in (first, second):
+            (witness,) = entry["witnesses"]
+            (text,) = witness["evidence"].values()
+            assert expected.endswith(text)
+        assert second["witnesses"] == witness_evidence(
+            checker, report.violations[1]
+        )

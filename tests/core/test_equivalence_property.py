@@ -138,12 +138,11 @@ def assert_views_current(checker, label):
     seed=st.integers(0, 10**6),
     script=interruptions,
     gap=st.sampled_from([1, 3, 9]),
-    share=st.booleans(),
     always_restrict=st.booleans(),
     always_probe=st.booleans(),
 )
 def test_maintained_views_equal_evaluation_from_scratch(
-    first, second, seed, script, gap, share, always_restrict, always_probe
+    first, second, seed, script, gap, always_restrict, always_probe
 ):
     """The delta-driven hot path is the from-scratch one, step by step.
 
@@ -174,11 +173,7 @@ def test_maintained_views_equal_evaluation_from_scratch(
     ), mock.patch.object(
         algebra, "PROBE_RATIO", 0 if always_probe else algebra.PROBE_RATIO
     ):
-        checker = budgeted(
-            IncrementalChecker(
-                SCHEMA, [first, second], share_subformulas=share
-            )
-        )
+        checker = budgeted(IncrementalChecker(SCHEMA, [first, second]))
         naive = NaiveChecker(SCHEMA, [first, second])
         for (time, txn), event in zip(stream, script):
             label = f"{first.formula} / {second.formula} at t={time} ({event})"

@@ -64,14 +64,11 @@ def frozen(report):
     )
 
 
-@pytest.mark.parametrize("share", [False, True])
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_reports_kept_through_a_run_equal_the_naive_engines(name, share):
+def test_reports_kept_through_a_run_equal_the_naive_engines(name):
     workload = WORKLOADS[name]()
     stream = list(workload.stream(300, seed=11))
-    checker = IncrementalChecker(
-        workload.schema, workload.constraints, share_subformulas=share
-    )
+    checker = IncrementalChecker(workload.schema, workload.constraints)
     naive = NaiveChecker(workload.schema, workload.constraints, memoize=True)
     kept, then = [], []
     for time, txn in stream:
@@ -208,21 +205,18 @@ class TestPrevAcrossGaps:
 
     SCHEMA = DatabaseSchema.from_dict({"p": ["a"], "q": ["a"]})
 
-    def engines(self, share):
+    def engines(self):
         constraints = [
             Constraint("recent", "q(x) -> PREV[1,2] p(x)"),
             Constraint("fresh", "q(x) -> NOT PREV[1,2] (p(x) AND q(x))"),
         ]
         return (
-            IncrementalChecker(
-                self.SCHEMA, constraints, share_subformulas=share
-            ),
+            IncrementalChecker(self.SCHEMA, constraints),
             NaiveChecker(self.SCHEMA, constraints),
         )
 
-    @pytest.mark.parametrize("share", [False, True])
-    def test_gaps_inside_and_outside_and_a_step_without_delta(self, share):
-        checker, naive = self.engines(share)
+    def test_gaps_inside_and_outside_and_a_step_without_delta(self):
+        checker, naive = self.engines()
         time, seen = 0, []
         present = {"p": set(), "q": set()}
         script = [

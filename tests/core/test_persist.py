@@ -194,7 +194,10 @@ class TestGoldenDocuments:
     1).  ``golden/checkpoints_v1.json`` holds a stream and the documents
     the checker wrote for it *before* auxiliary states dumped and loaded
     themselves and held their anchors as runs; the same stream must
-    still produce them byte for byte, and they must still restore."""
+    still produce them byte for byte, and they must still restore.
+    The file is as recorded: its documents carry the ``share_subformulas``
+    field of the time, which no document written now has and which the
+    reader ignores — the byte comparison leaves that one key out."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -202,6 +205,12 @@ class TestGoldenDocuments:
 
         path = Path(__file__).parent / "golden" / "checkpoints_v1.json"
         return json.loads(path.read_text())
+
+    @staticmethod
+    def as_written_now(text):
+        document = json.loads(text)
+        assert document.pop("share_subformulas") is False
+        return json.dumps(document, sort_keys=True)
 
     def replay(self, golden, collapse, upto, checker=None, start=0):
         if checker is None:
@@ -223,11 +232,12 @@ class TestGoldenDocuments:
 
         checker, _ = self.replay(golden, collapse, step)
         want = golden["documents"][f"collapse={collapse},step={step}"]
-        assert json.dumps(checkpoint_dict(checker), sort_keys=True) == want
+        written = json.dumps(checkpoint_dict(checker), sort_keys=True)
+        assert written == self.as_written_now(want)
         assert FORMAT_VERSION == 1
-        assert set(json.loads(want)) == {
+        assert set(json.loads(written)) == {
             "version", "schema", "constraints", "collapse_unbounded",
-            "share_subformulas", "time", "index", "state", "aux",
+            "time", "index", "state", "aux",
         }, "views and queues are derived state: never checkpointed"
 
     @pytest.mark.parametrize("collapse", [True, False])
@@ -241,7 +251,9 @@ class TestGoldenDocuments:
         continuous, want = self.replay(golden, collapse, 39)
         assert got == want[18:]
         assert any(not report.ok for report in got)
-        final = golden["documents"][f"collapse={collapse},step=39"]
+        final = self.as_written_now(
+            golden["documents"][f"collapse={collapse},step=39"]
+        )
         assert json.dumps(checkpoint_dict(resumed), sort_keys=True) == final
         assert resumed.aux_profile() == continuous.aux_profile()
 

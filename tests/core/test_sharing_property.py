@@ -7,9 +7,10 @@ Two executable contracts back the cross-constraint planner:
   original, on every engine (witnesses agree up to the variable
   renaming);
 * shared auxiliary maintenance is *invisible*: a checker monitoring a
-  random constraint plus a rename-variant copy with
-  ``share_subformulas=True`` produces bit-for-bit the verdicts of the
-  unshared run.
+  random constraint plus a rename-variant copy — one auxiliary state
+  per class, fanned out — produces bit-for-bit the verdicts of one
+  checker per constraint (:mod:`tests.core.oracles`), and the naive
+  engine's.
 """
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -25,7 +26,12 @@ from repro.core.normalize import (
 from repro.errors import ReproError
 from repro.temporal import StreamGenerator
 
-from tests.core.strategies import SCHEMA, adom_constraints, constraints
+from tests.core.oracles import (
+    PerConstraintCheckers, exact, exact_violation, interrupted_run,
+)
+from tests.core.strategies import (
+    SCHEMA, adom_constraints, constraints, interruptions,
+)
 
 relaxed = settings(
     max_examples=40,
@@ -162,18 +168,22 @@ def rename_variant(constraint):
 def test_shared_maintenance_is_bit_for_bit_invisible(
     constraint, seed, length
 ):
-    """Sharing a rename-variant family changes nothing observable."""
+    """A rename-variant family on one checker reports what one checker
+    per constraint reports, witness column order included."""
     copy = rename_variant(constraint)
     assume(copy is not None)
     family = [constraint, copy]
     stream = list(StreamGenerator(
         SCHEMA, universe=[0, 1, 2], max_gap=3, seed=seed
     ).stream(length))
-    unshared = IncrementalChecker(SCHEMA, family)
-    shared = IncrementalChecker(SCHEMA, family, share_subformulas=True)
+    apart = PerConstraintCheckers(SCHEMA, family)
+    naive = NaiveChecker(SCHEMA, family)
+    shared = IncrementalChecker(SCHEMA, family)
     for time, txn in stream:
-        assert unshared.step(time, txn) == shared.step(time, txn), \
+        report = shared.step(time, txn)
+        assert exact(report) == exact(apart.step(time, txn)), \
             str(constraint.formula)
+        assert report == naive.step(time, txn), str(constraint.formula)
     stats = shared.sharing_stats()
     assert stats["classes"] + stats["shared_nodes"] == \
         stats["distinct_nodes"]
@@ -185,15 +195,45 @@ def test_shared_maintenance_is_bit_for_bit_invisible(
     seed=st.integers(0, 10**6),
 )
 def test_shared_maintenance_under_sparse_clocks(constraint, seed):
-    """Metric-window expiry by clock passage alone, shared vs not."""
+    """Metric-window expiry by clock passage alone."""
     copy = rename_variant(constraint)
     assume(copy is not None)
     family = [constraint, copy]
     stream = list(StreamGenerator(
         SCHEMA, universe=[0, 1], max_gap=9, seed=seed
     ).stream(6))
-    unshared = IncrementalChecker(SCHEMA, family)
-    shared = IncrementalChecker(SCHEMA, family, share_subformulas=True)
+    apart = PerConstraintCheckers(SCHEMA, family)
+    naive = NaiveChecker(SCHEMA, family)
+    shared = IncrementalChecker(SCHEMA, family)
     for time, txn in stream:
-        assert unshared.step(time, txn) == shared.step(time, txn), \
+        report = shared.step(time, txn)
+        assert exact(report) == exact(apart.step(time, txn)), \
             str(constraint.formula)
+        assert report == naive.step(time, txn), str(constraint.formula)
+
+
+@relaxed
+@given(
+    constraint=constraints,
+    seed=st.integers(0, 10**6),
+    script=interruptions,
+    urgent=st.sampled_from(["prop", "copy"]),
+)
+def test_shared_maintenance_through_interruptions(
+    constraint, seed, script, urgent
+):
+    """The fan-out survives what interrupts a run: ``step_state``, a
+    late step shedding the representative's or the member's constraint,
+    a checkpoint and restore."""
+    copy = rename_variant(constraint)
+    assume(copy is not None)
+    family = [constraint, copy]
+    stream = list(StreamGenerator(
+        SCHEMA, universe=[0, 1, 2], max_gap=3, seed=seed
+    ).stream(len(script)))
+    for event, time, report, want in interrupted_run(
+        SCHEMA, family, stream, script, urgent
+    ):
+        assert [exact_violation(v) for v in report.violations] == [
+            exact_violation(v) for v in want
+        ], f"{constraint.formula} at t={time} ({event})"

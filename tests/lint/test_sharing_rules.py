@@ -44,7 +44,8 @@ class TestSharedSubformulaRule:
         assert diag.severity is Severity.INFO
         assert diag.constraint is None  # program-level finding
         assert "audit-a, audit-b" in diag.message
-        assert "share_subformulas=True" in diag.hint
+        assert "share one auxiliary state" in diag.message
+        assert "repro plan" in diag.hint
 
     def test_structural_duplicates_do_not_fire(self):
         quiet = parsed(

@@ -57,7 +57,7 @@ def collisions(package):
 
 def test_the_snapshot_covers_the_thirteen_packages():
     assert len(PACKAGES) == 13
-    assert sum(len(names) for names in SNAPSHOT.values()) == 346
+    assert sum(len(names) for names in SNAPSHOT.values()) == 345
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -95,6 +95,63 @@ class TestSurface:
         with pytest.raises(AttributeError, match=f"'{package}'.*'no_such_name'"):
             module.no_such_name
         assert not hasattr(module, "no_such_name")
+
+
+class TestOptions:
+    """Every independently settable value of the entry points a run is
+    configured through (``tests/data/public_options.json``): a new
+    parameter or flag is a diff of that file, not a default nobody
+    sees."""
+
+    OPTIONS = json.loads(
+        (Path(__file__).parent / "data" / "public_options.json").read_text()
+    )
+
+    @staticmethod
+    def parameters(qualified):
+        import inspect
+
+        from repro.core.checker import IncrementalChecker
+        from repro.shard import ShardedMonitor
+
+        owner, _, name = qualified.partition(".")
+        function = getattr({
+            "Monitor": repro.Monitor,
+            "IncrementalChecker": IncrementalChecker,
+            "ShardedMonitor": ShardedMonitor,
+        }[owner], name)
+        return [
+            name for name in inspect.signature(function).parameters
+            if name != "self"
+        ]
+
+    @staticmethod
+    def option_strings(command):
+        import argparse
+
+        from repro.cli import build_arg_parser
+
+        (commands,) = (
+            action for action in build_arg_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        return sorted(
+            option
+            for action in commands.choices[command.split()[-1]]._actions
+            for option in action.option_strings
+        )
+
+    @pytest.mark.parametrize("qualified", sorted(OPTIONS["parameters"]))
+    def test_parameter_names(self, qualified):
+        assert self.parameters(qualified) == (
+            self.OPTIONS["parameters"][qualified]
+        )
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS["options"]))
+    def test_command_line_options(self, command):
+        assert self.option_strings(command) == (
+            self.OPTIONS["options"][command]
+        )
 
 
 def test_version_is_a_plain_attribute():
