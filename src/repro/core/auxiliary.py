@@ -51,7 +51,8 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from sys import getsizeof
 from typing import (
-    Callable, Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+    Callable, Collection, Deque, Dict, Iterable, Iterator, List, Optional,
+    Set, Tuple,
 )
 
 from repro.core.formulas import Formula, Once, Prev, Since
@@ -308,35 +309,6 @@ class _Run:
         self.alive = True
 
 
-class _NetChange:
-    """Members a set gained and lost since last asked, net of reversals
-    (gained then lost, or lost then gained, is no change)."""
-
-    __slots__ = ("gained", "lost")
-
-    def __init__(self) -> None:
-        self.gained: Set[Row] = set()
-        self.lost: Set[Row] = set()
-
-    def gain(self, member: Row) -> None:
-        if member in self.lost:
-            self.lost.discard(member)
-        else:
-            self.gained.add(member)
-
-    def lose(self, member: Row) -> None:
-        if member in self.gained:
-            self.gained.discard(member)
-        else:
-            self.lost.add(member)
-
-    def take(self) -> Tuple[Set[Row], Set[Row]]:
-        """``(gained, lost)``; the record starts over."""
-        change = self.gained, self.lost
-        self.gained, self.lost = set(), set()
-        return change
-
-
 class _AnchorMap:
     """Shared valuation → anchor-timestamps store for ONCE and SINCE.
 
@@ -352,13 +324,19 @@ class _AnchorMap:
     the anchor formula's table and touches only those, plus the runs
     crossing the two window bounds.  ``visited`` counts the runs
     touched by that bound maintenance (the cost-model tests read it).
+
+    A valuation is *satisfied* when it has an anchor at least ``low``
+    old.  Runs reach ``t - low`` oldest first, so that is whether the
+    oldest of its stored runs has: nothing is counted per valuation.
+    What a step may have changed is noted by valuation (``_crossed``,
+    and ``_restocked`` for whether it is stored at all) and told apart
+    only when the consumer asks, one batch a step.
     """
 
     __slots__ = (
         "interval", "collapse_unbounded", "visited",
-        "_keeps_all", "_runs", "_open", "_entering", "_expiring", "_live",
-        "_times", "_counts", "_count", "_orphans", "_satisfied_change",
-        "_stored_change",
+        "_keeps_all", "_bounded", "_runs", "_open", "_entering", "_expiring",
+        "_times", "_counts", "_count", "_orphans", "_crossed", "_restocked",
     )
 
     def __init__(self, interval: Interval, collapse_unbounded: bool = True):
@@ -372,6 +350,11 @@ class _AnchorMap:
         self.visited = 0
         #: every timestamp is stored (else only each valuation's first)
         self._keeps_all = interval.is_bounded or not collapse_unbounded
+        self._bounded = interval.is_bounded
+        #: valuations first stored, or stored no longer, since
+        #: :meth:`take_stored_delta` last asked; noted only once
+        #: :meth:`follow_stored` said that somebody will ask
+        self._restocked: Optional[Set[Row]] = None
         self._reset()
 
     def _reset(self) -> None:
@@ -383,9 +366,6 @@ class _AnchorMap:
         self._entering: Deque[_Run] = deque()
         #: closed runs awaiting ``end < t - high``, by end
         self._expiring: Deque[_Run] = deque()
-        #: valuation -> entered live runs; the keys are the valuations
-        #: with an anchor at least ``low`` old
-        self._live: Dict[Row, int] = {}
         #: the step times that can still carry anchors, and how many
         #: anchors each carries (only when every timestamp is stored)
         self._times: List[Timestamp] = []
@@ -394,29 +374,40 @@ class _AnchorMap:
         #: valuations killed since the last observe(): re-anchored by
         #: it if the anchor formula still holds for them
         self._orphans: List[Row] = []
-        # what the satisfying set and the stored valuations gained and
-        # lost since their consumer last asked
-        self._satisfied_change = _NetChange()
-        self._stored_change = _NetChange()
+        #: valuations a run of which reached ``t - low``, expired or
+        #: was removed since :meth:`take_satisfied_delta` last asked
+        self._crossed: Set[Row] = set()
+        if self._restocked is not None:
+            self._restocked = set()
 
     # -- the per-step protocol ------------------------------------------
 
-    def remove(self, valuation: Row) -> None:
-        """Drop every anchor of ``valuation`` (SINCE survival failed)."""
-        for run in self._runs.pop(valuation):
-            run.alive = False
-            if self._keeps_all:
-                first, last = self._span(run)
-                for k in range(first, last):
-                    self._counts[k] -= 1
-                self._count -= last - first
-            if run.entered:
-                self._leave(valuation)
-        if not self._keeps_all:
-            self._count -= 1
-        self._open.pop(valuation, None)
-        self._orphans.append(valuation)
-        self._stored_change.lose(valuation)
+    def follow_stored(self) -> None:
+        """Note from now on which valuations become or stop being
+        stored, for a consumer that asks :meth:`take_stored_delta`
+        every step (a record nobody empties would grow with the
+        history)."""
+        self._restocked = set()
+
+    def remove_all(self, valuations: Collection[Row]) -> None:
+        """Drop every anchor of each of ``valuations`` (SINCE survival
+        failed for them)."""
+        keeps_all = self._keeps_all
+        for valuation in valuations:
+            for run in self._runs.pop(valuation):
+                run.alive = False
+                if keeps_all:
+                    first, last = self._span(run)
+                    for k in range(first, last):
+                        self._counts[k] -= 1
+                    self._count -= last - first
+            if not keeps_all:
+                self._count -= 1
+            self._open.pop(valuation, None)
+        self._orphans.extend(valuations)
+        self._crossed.update(valuations)
+        if self._restocked is not None:
+            self._restocked.update(valuations)
 
     def observe(
         self,
@@ -438,62 +429,63 @@ class _AnchorMap:
             left: valuations that held at the previous state and no
                 longer do.
         """
-        keeps_all = self._keeps_all
+        keeps_all, bounded = self._keeps_all, self._bounded
+        runs_of, opened = self._runs, self._open
+        entering, crossed = self._entering, self._crossed
+        restocked = self._restocked
         if entered is None:
             entered = holding
-            left = [v for v in self._open if v not in holding]
+            left = [v for v in opened if v not in holding]
         if keeps_all:
             previous = self._times[-1] if self._times else None
             for valuation in left:
-                run = self._open.pop(valuation, None)
+                run = opened.pop(valuation, None)
                 if run is not None:
                     run.end = previous
-                    if self.interval.is_bounded:
+                    if bounded:
                         self._expiring.append(run)
-        for valuation in entered:
-            self._anchor(valuation, time)
         if self._orphans:
-            for valuation in self._orphans:
-                if valuation in holding:
-                    self._anchor(valuation, time)
+            entered = list(entered) + [
+                v for v in self._orphans if v in holding
+            ]
             self._orphans = []
+        # the anchor formula holds for these now: a stored valuation
+        # whose open run covers this state, or of which only the
+        # minimum matters, needs nothing
+        immediate = self.interval.low == 0
+        for valuation in entered:
+            runs = runs_of.get(valuation)
+            if runs is None:
+                runs = runs_of[valuation] = []
+                if restocked is not None:
+                    restocked.add(valuation)
+                if not keeps_all:
+                    self._count += 1
+            elif not keeps_all or valuation in opened:
+                continue
+            run = _Run(valuation, time)
+            runs.append(run)
+            if keeps_all:
+                opened[valuation] = run
+            if immediate:
+                run.entered = True
+                crossed.add(valuation)
+            else:
+                entering.append(run)
         if keeps_all:
-            anchored = len(self._open)
+            anchored = len(opened)
             self._times.append(time)
             self._counts.append(anchored)
             self._count += anchored
-        if self.interval.is_bounded:
+        if bounded:
             self._expire(time - self.interval.high)
-        entering = self._entering
         threshold = time - self.interval.low
         while entering and entering[0].start <= threshold:
             run = entering.popleft()
             self.visited += 1
             if run.alive:
                 run.entered = True
-                self._enter(run.valuation)
-
-    def _anchor(self, valuation: Row, time: Timestamp) -> None:
-        """Record that the anchor formula holds for ``valuation`` now."""
-        runs = self._runs.get(valuation)
-        if runs is None:
-            runs = self._runs[valuation] = []
-            self._stored_change.gain(valuation)
-            if not self._keeps_all:
-                self._count += 1
-        elif not self._keeps_all or valuation in self._open:
-            # only the minimum matters and it is stored already, or
-            # the valuation's open run covers this state
-            return
-        run = _Run(valuation, time)
-        runs.append(run)
-        if self._keeps_all:
-            self._open[valuation] = run
-        if self.interval.low == 0:
-            run.entered = True
-            self._enter(valuation)
-        else:
-            self._entering.append(run)
+                crossed.add(run.valuation)
 
     def _expire(self, cutoff: Timestamp) -> None:
         """Forget the step times, and the runs, older than ``cutoff``."""
@@ -503,7 +495,7 @@ class _AnchorMap:
             self._count -= sum(self._counts[:stale])
             del times[:stale]
             del self._counts[:stale]
-        expiring = self._expiring
+        expiring, runs_of = self._expiring, self._runs
         while expiring and expiring[0].end < cutoff:
             run = expiring.popleft()
             self.visited += 1
@@ -511,41 +503,39 @@ class _AnchorMap:
                 continue
             run.alive = False
             valuation = run.valuation
-            runs = self._runs[valuation]
+            runs = runs_of[valuation]
             runs.remove(run)  # the oldest run expires first
             if not runs:
-                del self._runs[valuation]
-                self._stored_change.lose(valuation)
+                del runs_of[valuation]
+                if self._restocked is not None:
+                    self._restocked.add(valuation)
             if run.entered:
-                self._leave(valuation)
-
-    def _enter(self, valuation: Row) -> None:
-        live = self._live.get(valuation, 0)
-        self._live[valuation] = live + 1
-        if not live:
-            self._satisfied_change.gain(valuation)
-
-    def _leave(self, valuation: Row) -> None:
-        live = self._live[valuation] - 1
-        if live:
-            self._live[valuation] = live
-            return
-        del self._live[valuation]
-        self._satisfied_change.lose(valuation)
+                self._crossed.add(valuation)
 
     def take_satisfied_delta(self) -> Tuple[Set[Row], Set[Row]]:
-        """Valuations that gained / lost an anchor at least ``low`` old
-        since this was last asked."""
-        return self._satisfied_change.take()
+        """The valuations whose being satisfied may have changed since
+        this was last asked: ``(those satisfied now, those not)``.
+        Either set may name valuations that are what they were."""
+        crossed, self._crossed = self._crossed, set()
+        runs_of = self._runs
+        satisfied = {
+            v for v in crossed if v in runs_of and runs_of[v][0].entered
+        }
+        return satisfied, crossed - satisfied
 
     def take_stored_delta(self) -> Tuple[Set[Row], Set[Row]]:
-        """Valuations that became / stopped being stored since this was
-        last asked."""
-        return self._stored_change.take()
+        """The valuations first stored, or dropped for good or for a
+        while, since this was last asked: ``(those stored now, those
+        not)``.  Either set may name valuations that are what they
+        were."""
+        restocked, self._restocked = self._restocked, set()
+        runs_of = self._runs
+        stored = {v for v in restocked if v in runs_of}
+        return stored, restocked - stored
 
     def satisfied(self) -> Iterable[Row]:
         """Valuations with an anchor at least ``low`` old."""
-        return self._live.keys()
+        return [v for v, runs in self._runs.items() if runs[0].entered]
 
     def window_has_state(self, time: Timestamp) -> bool:
         """Whether some state lies in ``[time - high, time - low]``.
@@ -554,7 +544,7 @@ class _AnchorMap:
         satisfied, whatever is stored.  (A run that started before the
         window and ends after it needs this test; all others do not.)
         """
-        if self.interval.low == 0 or not self.interval.is_bounded:
+        if self.interval.low == 0 or not self._bounded:
             return True
         # _times holds exactly the states >= time - high
         return self._times[0] <= time - self.interval.low
@@ -645,7 +635,7 @@ class _AnchorMap:
                 run.end = None
                 if self._keeps_all:
                     self._open[run.valuation] = run
-            elif self.interval.is_bounded:
+            elif self._bounded:
                 self._expiring.append(run)
 
     def tuple_count(self) -> int:
@@ -777,6 +767,8 @@ class SinceState(_AnchoredState):
     def __init__(self, formula: Since, collapse_unbounded: bool = True):
         # columns == sorted fv(g), as fv(f) ⊆ fv(g)
         super().__init__(formula, collapse_unbounded)
+        # the stored valuations are the candidates of the survival test
+        self._anchors.follow_stored()
         self.survival_checks = 0
 
     def _forget(self) -> None:
@@ -820,8 +812,8 @@ class SinceState(_AnchoredState):
             dropped = suspects.difference(
                 survivors._aligned_rows(self._columns)
             )
-            for valuation in dropped:
-                anchors.remove(valuation)
+            if dropped:
+                anchors.remove_all(dropped)
         self._dropped = dropped
         # 2. new anchors from the right operand (no survival test:
         #    SINCE requires the left operand strictly *after* the

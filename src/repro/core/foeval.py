@@ -30,6 +30,7 @@ from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.formulas import (
+    COMPARISON_OPS,
     Aggregate,
     And,
     Atom,
@@ -82,32 +83,41 @@ def atom_matcher(atom: Atom) -> Tuple[Tuple[str, ...], Callable]:
     relation's delta is the delta of the atom's table.
     """
     var_positions: Dict[str, int] = {}
-    const_checks: List[Tuple[int, Value]] = []
-    same_checks: List[Tuple[int, int]] = []
+    constants: Dict[int, Value] = {}
+    repeats: Dict[int, int] = {}
     for pos, term in enumerate(atom.terms):
         if isinstance(term, Const):
-            const_checks.append((pos, term.value))
+            constants[pos] = term.value
         else:
             assert isinstance(term, Var)
-            first = var_positions.get(term.name)
-            if first is None:
-                var_positions[term.name] = pos
-            else:
-                same_checks.append((first, pos))
+            first = var_positions.setdefault(term.name, pos)
+            if first != pos:
+                repeats[pos] = first
     columns = tuple(var_positions)
     take = tuple_of([var_positions[c] for c in columns])
 
-    if not const_checks and not same_checks:
-        def match(rows: Iterable[Row]) -> List[Row]:
-            return list(map(take, rows))
-    else:
+    # one closure per shape, each a single pass in C or in one
+    # comprehension: nothing is called, and no generator made, per row
+    if repeats or len(constants) > 1:
+        # fixed positions against their constants and later occurrences
+        # against first ones, each side one tuple
+        fixed = tuple_of(list(constants) + list(repeats))
+        wanted = tuple(constants.values())
+        firsts = tuple_of(list(repeats.values()))
+
         def match(rows: Iterable[Row]) -> List[Row]:
             return [
-                take(row)
-                for row in rows
-                if not any(row[p] != v for p, v in const_checks)
-                and not any(row[p] != row[q] for p, q in same_checks)
+                take(row) for row in rows
+                if fixed(row) == wanted + firsts(row)
             ]
+    elif constants:
+        ((position, value),) = constants.items()
+
+        def match(rows: Iterable[Row]) -> List[Row]:
+            return [take(row) for row in rows if row[position] == value]
+    else:
+        def match(rows: Iterable[Row]) -> List[Row]:
+            return list(map(take, rows))
 
     return columns, match
 
@@ -376,7 +386,6 @@ def _compile_conjunction(
 def _compile_comparison(cmp: Comparison, columns: Tuple[str, ...]) -> Plan:
     """A comparison filters when both sides are bound; an equality with
     one side bound extends the context by the other."""
-    test = cmp.evaluate
     sides = []
     for term in (cmp.left, cmp.right):
         if isinstance(term, Var):
@@ -390,19 +399,29 @@ def _compile_comparison(cmp: Comparison, columns: Tuple[str, ...]) -> Plan:
     right_bound = right_var is None or j is not None
 
     if left_bound and right_bound:
-        if i is not None and j is not None:
-            def keep(rows):
-                return (r for r in rows if test(r[i], r[j]))
-        elif i is not None:
-            def keep(rows):
-                return (r for r in rows if test(r[i], right))
-        elif j is not None:
-            def keep(rows):
-                return (r for r in rows if test(left, r[j]))
-        else:
-            def keep(rows):
-                return (r for r in rows if test(left, right))
-        return lambda provider, ctx: Table._trusted(columns, keep(ctx.rows))
+        def keeping(test) -> Callable[[Iterable[Row]], List[Row]]:
+            if i is not None and j is not None:
+                return lambda rows: [r for r in rows if test(r[i], r[j])]
+            if i is not None:
+                return lambda rows: [r for r in rows if test(r[i], right)]
+            if j is not None:
+                return lambda rows: [r for r in rows if test(left, r[j])]
+            return lambda rows: [r for r in rows if test(left, right)]
+
+        # the bare operator, applied in one comprehension; values it
+        # cannot order are found again by the checked comparison, which
+        # raises the FormulaError naming them
+        keep = keeping(COMPARISON_OPS[cmp.op])
+        keep_checked = keeping(cmp.evaluate)
+
+        def compare(provider: AtomProvider, ctx: Table) -> Table:
+            try:
+                kept = keep(ctx.rows)
+            except TypeError:
+                kept = keep_checked(ctx.rows)
+            return Table._trusted(columns, kept)
+
+        return compare
 
     if cmp.op != "=" or not (left_bound or right_bound):
         raise UnsafeFormulaError(explain_unsafe(cmp, frozenset(columns)))

@@ -13,6 +13,7 @@ eliminated by :mod:`repro.core.normalize` before compilation.
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.core.intervals import TRIVIAL, Interval
@@ -101,12 +102,12 @@ def as_term(t: TermLike) -> Term:
 # ----------------------------------------------------------------------
 
 COMPARISON_OPS: Dict[str, "callable"] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 

@@ -408,12 +408,10 @@ class View:
                 )
         if not affected:
             return None
-        count = sum(len(keys) for keys in affected.values())
-        largest = max(
-            (len(cell.table) for cell, _keys in self._sources), default=0
-        )
-        if context is not None:
-            largest = max(largest, len(context))
+        count = sum(map(len, affected.values()))
+        largest = 0 if context is None else len(context.rows)
+        for cell, _keys in self._sources:
+            largest = max(largest, len(cell.table.rows))
         if count >= WHOLE_SHARE * largest:
             return self._evaluate_whole(provider, context)
 

@@ -83,12 +83,14 @@ def key_of(positions: Sequence[int]) -> Callable[[Row], object]:
 
 
 def tuple_of(positions: Sequence[int]) -> Callable[[Row], Row]:
-    """Projection of a row onto ``positions``, always as a tuple."""
+    """Projection of a row (a tuple) onto ``positions``, always as a
+    tuple: ``itemgetter`` hands back a bare value for one position and
+    refuses none, so those two take a slice of the row."""
     if len(positions) == 1:
         (i,) = positions
-        return lambda row: (row[i],)
+        return itemgetter(slice(i, i + 1))
     if not positions:
-        return lambda row: ()
+        return itemgetter(slice(0, 0))
     return itemgetter(*positions)
 
 
@@ -319,7 +321,7 @@ class Table:
             return self.rows.intersection(keys)
         index = self.index_on(columns)
         if len(columns) == 1:
-            keys = (k[0] for k in keys)
+            keys = map(itemgetter(0), keys)
         found: List[Row] = []
         for k in keys:
             found.extend(index.get(k, ()))
@@ -587,7 +589,7 @@ class Table:
             # every right column is shared, so a right row is its own
             # key: membership, no index at all
             return Table._trusted(
-                out_cols, (lr for lr in left if as_right_row(lr) in right)
+                out_cols, [lr for lr in left if as_right_row(lr) in right]
             )
         if len(left) <= len(right):
             if len(left) * PROBE_RATIO <= len(right) or (

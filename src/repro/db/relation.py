@@ -27,8 +27,7 @@ class Relation:
 
     def __init__(self, schema: RelationSchema, rows: Iterable[Row] = ()):
         frozen = frozenset(tuple(r) for r in rows)
-        for r in frozen:
-            schema.validate_row(r)
+        schema.validate_rows(frozen)
         self._hold(schema, Table._trusted(schema.attribute_names, frozen))
 
     def _hold(self, schema: RelationSchema, table: Table) -> "Relation":
@@ -80,8 +79,7 @@ class Relation:
             (tuple(r) for r in inserts),
             [tuple(r) for r in deletes],
         )
-        for r in added:
-            self.schema.validate_row(r)
+        self.schema.validate_rows(added)
         return self._changed(added, removed)
 
     def _changed(self, added: Rows, removed: Rows) -> "Relation":

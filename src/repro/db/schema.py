@@ -10,7 +10,9 @@ construction.
 
 from __future__ import annotations
 
+from operator import itemgetter, ne
 from typing import (
+    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -68,7 +70,7 @@ def _coerce_attribute(spec: AttributeSpec) -> Attribute:
 class RelationSchema:
     """Schema of one relation: a name plus an ordered attribute list."""
 
-    __slots__ = ("name", "attributes", "_positions")
+    __slots__ = ("name", "attributes", "_positions", "_lengths", "_columns")
 
     def __init__(self, name: str, attributes: Sequence[AttributeSpec]):
         if not name or not name.replace("_", "a").isalnum():
@@ -86,6 +88,15 @@ class RelationSchema:
         self._positions: Dict[str, int] = {
             a.name: i for i, a in enumerate(attrs)
         }
+        # what validate_rows applies to a batch: the one row length,
+        # and per column its getter, the types accepted on sight and
+        # whether NaN can hide among them
+        self._lengths = {len(attrs)}
+        exact_types = [a.domain.exact_types for a in attrs]
+        self._columns = tuple(
+            (itemgetter(i), exact, float in exact)
+            for i, exact in enumerate(exact_types)
+        )
 
     @property
     def arity(self) -> int:
@@ -122,6 +133,30 @@ class RelationSchema:
                 # only a failing value pays for naming its attribute
                 attr.domain.check(value, context=f"{self.name}.{attr.name}")
         return row
+
+    def validate_rows(self, rows: Collection[Row]) -> None:
+        """:meth:`validate_row` for every row of a batch.
+
+        The batch is tested column by column, in C: one row length,
+        and in each column only values of exactly a type the domain
+        accepts on sight, none of them NaN.  A batch that does not
+        pass — a ``bool``, a value of a subclass, a wrong arity or
+        domain — is gone through row by row, so what is accepted and
+        what is raised are :meth:`validate_row`'s.
+        """
+        if set(map(len, rows)) == self._lengths:
+            for column_of, exact, floats in self._columns:
+                column = map(column_of, rows)
+                if floats:
+                    column = tuple(column)
+                if not exact.issuperset(map(type, column)) or (
+                    floats and any(map(ne, column, column))
+                ):
+                    break
+            else:
+                return
+        for row in rows:
+            self.validate_row(row)
 
     def __eq__(self, other: object) -> bool:
         return (

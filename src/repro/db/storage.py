@@ -21,12 +21,17 @@ from typing import IO, Iterable, Iterator, List, Tuple, Union
 
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
-from repro.errors import HistoryError
+from repro.errors import HistoryError, ReproError
 
 PathLike = Union[str, Path]
 
 #: One element of an update stream: (timestamp, transaction).
 TimedTransaction = Tuple[int, Transaction]
+
+#: What decoding one line raises when the line is not a record: bad
+#: JSON or shape, or rows no transaction takes (an illegal value such as
+#: NaN or a bool, a row both inserted and deleted).
+_MALFORMED = (ValueError, KeyError, TypeError, ReproError)
 
 
 def dump_schema(schema: DatabaseSchema, path: PathLike) -> None:
@@ -80,7 +85,7 @@ def read_stream(fh: IO[str]) -> Iterator[TimedTransaction]:
             record = json.loads(line)
             t = record["t"]
             txn = Transaction.from_dict(record)
-        except (ValueError, KeyError, TypeError) as exc:
+        except _MALFORMED as exc:
             raise HistoryError(f"line {lineno}: malformed record: {exc}")
         if not isinstance(t, int) or t < 0:
             raise HistoryError(
@@ -135,7 +140,7 @@ def read_arrivals(
                 t = record["t"]
                 txn = Transaction.from_dict(record)
                 source = record.get("source", default_source)
-            except (ValueError, KeyError, TypeError):
+            except _MALFORMED:
                 yield None, stripped, default_source
                 continue
             if not isinstance(source, str):
@@ -178,7 +183,7 @@ def iter_stream_lenient(
                 record = json.loads(stripped)
                 t = record["t"]
                 txn = Transaction.from_dict(record)
-            except (ValueError, KeyError, TypeError) as exc:
+            except _MALFORMED as exc:
                 yield StreamFault(
                     lineno, f"malformed record: {exc}", stripped
                 )

@@ -55,6 +55,20 @@ class Transaction:
         }
 
     @classmethod
+    def _trusted(
+        cls,
+        inserts: Dict[str, FrozenSet[Row]],
+        deletes: Dict[str, FrozenSet[Row]],
+    ) -> "Transaction":
+        """Internal constructor for a part of a transaction already
+        built: every row is a checked tuple, no set is empty and no row
+        is on both sides, so nothing is re-tupled or re-checked."""
+        self = object.__new__(cls)
+        self.inserts = inserts
+        self.deletes = deletes
+        return self
+
+    @classmethod
     def of(
         cls,
         inserts: Optional[Mapping[str, Iterable[Row]]] = None,
@@ -94,9 +108,7 @@ class Transaction:
         for rel, rows in list(self.inserts.items()) + list(
             self.deletes.items()
         ):
-            rs = schema.relation(rel)
-            for row in rows:
-                rs.validate_row(row)
+            schema.relation(rel).validate_rows(rows)
 
     def merged(self, later: "Transaction") -> "Transaction":
         """Compose with a ``later`` transaction into a single transition.

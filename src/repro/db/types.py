@@ -6,12 +6,17 @@ supported — integers, strings, and floats — plus ``ANY`` for untyped
 attributes.  Timestamps are plain non-negative integers and are *not* a
 relation domain; they appear only in the auxiliary relations maintained
 by the checker.
+
+NaN is not a value: it is unequal to itself, so a row carrying it can
+be neither found nor deleted by an equal-looking row, has no place in
+the total order comparisons are normalised under, and is not JSON.
+The infinities are ordinary floats and stay.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Tuple, Union
+from typing import FrozenSet, Tuple, Union
 
 from repro.errors import ValueTypeError
 
@@ -35,7 +40,8 @@ class Domain(enum.Enum):
 
         Booleans are rejected from ``INT`` even though ``bool`` subclasses
         ``int`` in Python, because a boolean attribute value is almost
-        always a bug in workload code.
+        always a bug in workload code; NaN is rejected everywhere (see
+        the module docstring).
         """
         if isinstance(value, bool):
             return False
@@ -44,8 +50,8 @@ class Domain(enum.Enum):
         if self is Domain.STR:
             return isinstance(value, str)
         if self is Domain.FLOAT:
-            return isinstance(value, (int, float))
-        return isinstance(value, (int, str, float))
+            return isinstance(value, (int, float)) and value == value
+        return isinstance(value, (int, str, float)) and value == value
 
     def check(self, value: Value, context: str = "") -> Value:
         """Return ``value`` if it belongs to the domain, else raise.
@@ -64,6 +70,14 @@ class Domain(enum.Enum):
             )
         return value
 
+    @property
+    def exact_types(self) -> FrozenSet[type]:
+        """The built-in types all of whose instances belong to the
+        domain (NaN aside, where ``float`` is among them): a value of
+        exactly such a type needs no further look, one of a subclass
+        (an ``IntEnum``, a ``bool``) goes through :meth:`contains`."""
+        return _EXACT_TYPES[self]
+
     @classmethod
     def of(cls, value: Value) -> "Domain":
         """Return the narrowest domain containing ``value``."""
@@ -74,6 +88,8 @@ class Domain(enum.Enum):
         if isinstance(value, str):
             return cls.STR
         if isinstance(value, float):
+            if value != value:
+                raise ValueTypeError("NaN is not a value")
             return cls.FLOAT
         raise ValueTypeError(f"unsupported value type: {type(value).__name__}")
 
@@ -86,9 +102,21 @@ class Domain(enum.Enum):
             raise ValueTypeError(f"unknown domain name: {text!r}") from None
 
 
+_EXACT_TYPES = {
+    Domain.INT: frozenset({int}),
+    Domain.STR: frozenset({str}),
+    Domain.FLOAT: frozenset({int, float}),
+    Domain.ANY: frozenset({int, str, float}),
+}
+
+
 def is_value(obj: object) -> bool:
-    """Return whether ``obj`` is a legal attribute value."""
-    return not isinstance(obj, bool) and isinstance(obj, (int, str, float))
+    """Return whether ``obj`` is a legal attribute value (NaN is not)."""
+    return (
+        not isinstance(obj, bool)
+        and isinstance(obj, (int, str, float))
+        and obj == obj
+    )
 
 
 def check_row(values: Tuple[Value, ...]) -> Row:

@@ -267,13 +267,19 @@ class ShardPlan:
                 pos = self.key_positions.get(rel)
                 if pos is None:
                     for shard in range(self.shards):
-                        buckets[shard].setdefault(rel, set()).update(rows)
+                        buckets[shard][rel] = rows
                 else:
                     for row in rows:
                         shard = self.route(row[pos])
                         buckets[shard].setdefault(rel, set()).add(row)
+        # parts of a transaction already built: its rows are checked,
+        # and a row on both sides of a part would be of the whole
         return [
-            Transaction(ins[s], dels[s]) for s in range(self.shards)
+            Transaction._trusted(
+                {rel: frozenset(rows) for rel, rows in ins[s].items()},
+                {rel: frozenset(rows) for rel, rows in dels[s].items()},
+            )
+            for s in range(self.shards)
         ]
 
     def filter_witnesses(self, shard: int, name: str, table: Table) -> Table:

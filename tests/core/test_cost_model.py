@@ -16,9 +16,14 @@ and the size of every container it constructs are the delta's.
 """
 
 import gc
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
+
+import pytest
 
 from repro.core import auxiliary, views
 from repro.core.checker import IncrementalChecker
@@ -66,18 +71,18 @@ def plant_stream(resident: int, seed: int = 7):
 def drive(resident: int, monkeypatch):
     """Per-step work counts and verdicts of one plant."""
     validated = 0
-    validate_row = RelationSchema.validate_row
+    validate_rows = RelationSchema.validate_rows
 
-    def counting(self, row):
+    def counting(self, rows):
         nonlocal validated
-        validated += 1
-        return validate_row(self, row)
+        validated += len(rows)
+        return validate_rows(self, rows)
 
     checker = IncrementalChecker(sensors.SCHEMA, sensors.constraints())
     rows, verdicts = [], []
     before = checker.work_counters()
     with monkeypatch.context() as patch:
-        patch.setattr(RelationSchema, "validate_row", counting)
+        patch.setattr(RelationSchema, "validate_rows", counting)
         for time, txn in plant_stream(resident):
             validated = 0
             report = checker.step(time, txn)
@@ -129,7 +134,6 @@ def test_bulk_load_is_the_only_step_that_scales(monkeypatch):
     assert rows[0]["validated"] >= 796
     # the loaded anchors cross SINCE's low bound once, together
     assert sum(row["bound_visits"] for row in rows[:SETTLED]) >= 796
-
 
 
 #: a step of either plant may leave this many more blocks allocated, and
@@ -197,3 +201,82 @@ def test_no_settled_step_constructs_a_container_of_the_state(monkeypatch):
     for time, txn in stream[SETTLED:]:
         checker.step(time, txn)
     assert made and max(made) <= 4 * REPORTING
+
+
+# ----------------------------------------------------------------------
+# Python frames entered per step: an exact count
+# ----------------------------------------------------------------------
+
+FLEET_STEPS = 400
+FLEET_SEED = 1992
+
+
+def frames_per_step(shape_name):
+    """``(frames entered, delta rows)`` per step over the second half of
+    the benchmark's stream of one of its shapes (``SHAPE_A``: 8 sensors
+    of which 4 report per step, ``SHAPE_C``: 48 sensors all rewritten
+    every step): every ``call`` event ``sys.setprofile`` reports, i.e.
+    every Python function, lambda, comprehension and generator
+    resumption — built-ins raise none."""
+    from perfbench import loadgen
+
+    checker = IncrementalChecker(sensors.SCHEMA, sensors.constraints())
+    stream = loadgen.fleet(
+        getattr(loadgen, shape_name), FLEET_STEPS, FLEET_SEED
+    )
+    settled = FLEET_STEPS // 2
+    for time, txn in stream[:settled]:
+        checker.step(time, txn)
+    frames = 0
+
+    def count(frame, event, arg):
+        nonlocal frames
+        if event == "call":
+            frames += 1
+
+    sys.setprofile(count)
+    try:
+        for time, txn in stream[settled:]:
+            checker.step(time, txn)
+    finally:
+        sys.setprofile(None)
+    measured = FLEET_STEPS - settled
+    rows = sum(txn.size for _, txn in stream[settled:])
+    return frames / measured, rows / measured
+
+
+@pytest.fixture(scope="module")
+def frame_readings():
+    return frames_per_step("SHAPE_A"), frames_per_step("SHAPE_C")
+
+
+def test_frames_per_step_follow_the_batches_not_the_rows(frame_readings):
+    """A frame is entered per relation, leaf or view of a step, not per
+    delta row: the parent of the change that made it so entered 291 and
+    929 frames a step on the two shapes, 13.2 per extra delta row."""
+    (small, small_rows), (full, full_rows) = frame_readings
+    assert full_rows > 10 * small_rows
+    assert small <= 230 and full <= 310
+    assert (full - small) / (full_rows - small_rows) <= 2
+
+
+def test_the_frame_count_is_exact(frame_readings):
+    """The same count from run to run and under any string hashing,
+    which is what lets a single pair of runs resolve a change in it."""
+    code = (
+        "import sys; sys.path[:0] = ['src', '.']\n"
+        "from tests.core.test_cost_model import frames_per_step\n"
+        "print((frames_per_step('SHAPE_A'), frames_per_step('SHAPE_C')))"
+    )
+    readings = {repr(frame_readings)}
+    for seed in ("0", "1992"):
+        readings.add(subprocess.run(
+            [sys.executable, "-c", code],
+            env={
+                "PYTHONHASHSEED": seed, "PYTHONDONTWRITEBYTECODE": "1",
+                "PATH": os.environ.get("PATH", ""),
+            },
+            cwd=Path(__file__).resolve().parents[2],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip())
+    assert len(readings) == 1, readings

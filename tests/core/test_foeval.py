@@ -1,9 +1,11 @@
 """Unit tests for the first-order evaluator over a single state."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.foeval import AtomProvider, evaluate, match_atom
-from repro.core.formulas import And, Atom, Const, Var
+from repro.core.foeval import AtomProvider, atom_matcher, evaluate, match_atom
+from repro.core.formulas import And, Atom, Const, FormulaError, Var
 from repro.core.normalize import normalize
 from repro.core.parser import parse
 from repro.db.algebra import Table
@@ -64,6 +66,59 @@ class TestMatchAtom:
         t2 = match_atom([(1,)], Atom("p", [Const(9)]))
         assert not t2.truth
 
+    @staticmethod
+    def by_definition(atom, rows):
+        """Term by term, row by row: the matcher every shape stands for."""
+        matched = []
+        for row in rows:
+            valuation = {}
+            for term, value in zip(atom.terms, row):
+                if isinstance(term, Const):
+                    if term.value != value:
+                        break
+                elif valuation.setdefault(term.name, value) != value:
+                    break
+            else:
+                matched.append(tuple(valuation.values()))
+        return matched
+
+    TERMS = st.one_of(
+        st.sampled_from([Var("x"), Var("y"), Var("z")]),
+        st.sampled_from([Const(0), Const(1), Const("a"), Const(1.0)]),
+    )
+    CELLS = st.sampled_from([0, 1, 2, "a", "b", 1.0, 0.5])
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), terms=st.lists(TERMS, max_size=4))
+    def test_every_shape_matches_by_definition(self, data, terms):
+        atom = Atom("r", terms)
+        rows = data.draw(st.lists(
+            st.tuples(*[self.CELLS] * len(terms)), max_size=8, unique=True,
+        ))
+        columns, match = atom_matcher(atom)
+        assert columns == tuple(dict.fromkeys(
+            term.name for term in terms if isinstance(term, Var)
+        ))
+        matched = match(rows)
+        assert matched == self.by_definition(atom, rows)
+        assert all(type(row) is tuple for row in matched)
+
+    def test_each_shape_is_reached(self):
+        rows = [(1, 1, 1), (1, 2, 1), (2, 2, 2), (3, 1, 2)]
+        x, y, z = Var("x"), Var("y"), Var("z")
+        for terms in (
+            [x, y, z],                  # no constant, nothing repeated
+            [x, Const(2), y],           # one constant
+            [Const(1), x, Const(1)],    # several constants
+            [x, x, y],                  # a repeated variable
+            [x, Const(2), x],           # both
+            [x, x, x],
+        ):
+            atom = Atom("r", terms)
+            assert atom_matcher(atom)[1](rows) == self.by_definition(
+                atom, rows
+            ), terms
+
 
 class TestBooleanEvaluation:
     def test_atom(self, provider):
@@ -119,6 +174,18 @@ class TestComparisons:
             ("x",), [(1,), (2,), (3,)]
         )
         assert ev("p(x) AND 2 < 1", provider).is_empty
+
+    def test_values_without_an_order_are_named(self):
+        mixed = DictProvider({"r": [(1, 10), (2, "x")], "p": [("a",)]})
+        with pytest.raises(FormulaError, match="cannot compare 2 < 'x'"):
+            ev("r(x, y) AND x < y", mixed)
+        with pytest.raises(FormulaError, match="cannot compare 'a' >= 1"):
+            ev("p(x) AND x >= 1", mixed)
+        with pytest.raises(FormulaError, match="cannot compare 1 > 'a'"):
+            ev("p(x) AND 1 > x", mixed)
+        # equality is defined across types: nothing to raise
+        assert ev("r(x, y) AND x = y", mixed).is_empty
+        assert ev("p(x) AND x != 1", mixed) == Table(("x",), [("a",)])
 
 
 class TestQuantifiers:

@@ -168,13 +168,13 @@ class TestValidationFollowsTheDelta:
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = []
-        validate_row = RelationSchema.validate_row
+        validate_rows = RelationSchema.validate_rows
 
-        def counting(self, row):
-            calls.append(row)
-            return validate_row(self, row)
+        def counting(self, rows):
+            calls.extend(rows)
+            return validate_rows(self, rows)
 
-        monkeypatch.setattr(RelationSchema, "validate_row", counting)
+        monkeypatch.setattr(RelationSchema, "validate_rows", counting)
         return calls
 
     def test_only_new_rows_are_validated(self, counted):

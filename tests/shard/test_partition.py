@@ -10,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.checker import Constraint
 from repro.db import DatabaseSchema, Transaction
@@ -195,6 +197,50 @@ class TestRouting:
             for row in sub.deletes.get("alarm", ()):
                 assert p.route(row[0]) == shard
         assert merged_ins == {(0, 1), (1, 2)}
+
+    KEYS = st.one_of(st.integers(0, 5), st.sampled_from(["a", "b", 1.5]))
+    ROWS = {
+        "reading": st.tuples(KEYS, st.integers(0, 2)),
+        "alarm": st.tuples(KEYS),
+        "config": st.tuples(st.integers(0, 2)),
+    }
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        shards=st.integers(1, 4),
+        relations=st.sets(st.sampled_from(sorted(ROWS)), max_size=3),
+    )
+    def test_split_parts_are_what_the_checking_constructor_builds(
+        self, data, shards, relations
+    ):
+        inserts, deletes = {}, {}
+        for name in sorted(relations):
+            rows = st.frozensets(self.ROWS[name], max_size=6)
+            inserts[name] = data.draw(rows)
+            deletes[name] = data.draw(rows) - inserts[name]
+        txn = Transaction(inserts, deletes)
+        p = plan(shards=shards)
+        parts = p.split(txn)
+        assert len(parts) == shards
+        for shard, part in enumerate(parts):
+            # the same rows through the constructor that checks them
+            # and drops empty sets; and each is this shard's share
+            rebuilt = Transaction(part.inserts, part.deletes)
+            assert part == rebuilt and hash(part) == hash(rebuilt)
+            assert part.inserts == rebuilt.inserts
+            assert part.deletes == rebuilt.deletes
+            for side, whole in (
+                (part.inserts, txn.inserts), (part.deletes, txn.deletes),
+            ):
+                assert all(type(rows) is frozenset for rows in side.values())
+                assert side == {
+                    name: mine for name, rows in whole.items()
+                    if (mine := frozenset(
+                        row for row in rows
+                        if name == "config" or p.route(row[0]) == shard
+                    ))
+                }
 
     def test_every_shard_gets_a_transaction(self):
         p = plan(shards=4)
