@@ -729,7 +729,7 @@ class Monitor(MonitorFacade):
             )
         else:
             if self._journal is not None:
-                self._journal_record(time, update)
+                self._journal_record(time, update, checker)
             if report.deferred:
                 if resilience is not None:
                     resilience.note_step(report)
@@ -746,9 +746,12 @@ class Monitor(MonitorFacade):
     def _next_index(self) -> int:
         return self.checker.steps_processed
 
-    def _journal_record(self, time: Timestamp, txn: Transaction) -> None:
-        checkpointed = self._journal.record(time, txn, self.checker)
-        metrics = self._metrics()
+    def _journal_record(
+        self, time: Timestamp, txn: Transaction, checker
+    ) -> None:
+        checkpointed = self._journal.record(time, txn, checker)
+        # ``self._metrics()`` without its frame: this runs per record
+        metrics = getattr(self.instrumentation, "metrics", None)
         if metrics is not None:
             metrics.counter(
                 JOURNAL_RECORDS_TOTAL,

@@ -83,6 +83,7 @@ from repro.core.violations import RunReport
 from repro.db.database import DatabaseState
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
+from repro.db.types import sorted_rows
 from repro.errors import (
     MonitorError,
     RecoveryError,
@@ -293,9 +294,10 @@ def save_checker(
     parsing as garbage.  ``sync`` follows the store discipline
     (``False`` / ``True`` / ``"force"``).
     """
-    from repro.store.base import fsync_dir, fsync_file
+    from repro.store.base import fsync_dir, fsync_enabled, fsync_file
 
     path = Path(path)
+    fsync = fsync_enabled(sync)
     frame = encode_record({
         "epoch": 0,
         "document": checkpoint_dict(checker),
@@ -305,9 +307,9 @@ def save_checker(
     with open(tmp, "wb") as fh:
         fh.write(frame)
         fh.flush()
-        fsync_file(fh, sync)
+        fsync_file(fh, fsync)
     os.replace(tmp, path)
-    fsync_dir(path.parent, sync)
+    fsync_dir(path.parent, fsync)
 
 
 def _checkpoint_frame_document(record: dict, path: Path) -> dict:
@@ -493,12 +495,16 @@ class RunJournal:
         Returns:
             True when this record triggered an automatic checkpoint.
         """
-        entry = {"t": time}
-        entry.update(txn.to_dict())
-        if self.group_commit:
-            self.store.write(entry)
-        else:
-            self.store.append(entry)
+        store = self.store
+        # the rows go to the encoder as sorted tuples: the JSON arrays
+        # of ``txn.to_dict()`` without a list built per row
+        store.write({
+            "t": time,
+            "insert": sorted_rows(txn.inserts),
+            "delete": sorted_rows(txn.deletes),
+        })
+        if not self.group_commit:
+            store.commit()
         self.records_written += 1
         self._since_checkpoint += 1
         if self._since_checkpoint >= self.checkpoint_every:

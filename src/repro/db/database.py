@@ -19,7 +19,7 @@ from repro.db.algebra import Delta, effective_change
 from repro.db.relation import Relation
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
-from repro.db.types import Row, Value
+from repro.db.types import Row, Value, sorted_rows
 from repro.errors import UnknownRelationError
 
 
@@ -168,11 +168,12 @@ class DatabaseState:
 
     def to_dict(self) -> Dict[str, list]:
         """Serialise contents to ``{relation: sorted row lists}``."""
-        return {
-            name: sorted([list(r) for r in rel.rows])
+        ordered = sorted_rows({
+            name: rel.rows
             for name, rel in self._relations.items()
             if rel.rows
-        }
+        })
+        return {name: list(map(list, rows)) for name, rows in ordered.items()}
 
     def __iter__(self) -> Iterator[Relation]:
         return iter(self._relations.values())

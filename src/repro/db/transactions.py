@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
 
 from repro.db.schema import DatabaseSchema
-from repro.db.types import Row, check_row
+from repro.db.types import Row, check_row, sorted_rows
 from repro.errors import TransactionError
 
 
@@ -141,12 +141,12 @@ class Transaction:
         """Serialise to plain JSON-able dicts (rows become lists)."""
         return {
             "insert": {
-                rel: sorted([list(r) for r in rows])
-                for rel, rows in self.inserts.items()
+                rel: list(map(list, rows))
+                for rel, rows in sorted_rows(self.inserts).items()
             },
             "delete": {
-                rel: sorted([list(r) for r in rows])
-                for rel, rows in self.deletes.items()
+                rel: list(map(list, rows))
+                for rel, rows in sorted_rows(self.deletes).items()
             },
         }
 

@@ -16,7 +16,7 @@ The infinities are ordinary floats and stay.
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Mapping, Tuple, Union
 
 from repro.errors import ValueTypeError
 
@@ -128,3 +128,25 @@ def check_row(values: Tuple[Value, ...]) -> Row:
         if not is_value(v):
             raise ValueTypeError(f"illegal attribute value: {v!r}")
     return values
+
+
+def _typed_cells(row: Row) -> list:
+    return [(type(value).__name__, value) for value in row]
+
+
+def sorted_rows(relations: Mapping[str, Iterable[Row]]) -> Dict[str, list]:
+    """``{relation: its rows, sorted}`` — the one order every writer
+    (``to_dict`` of a transaction or a state, the run journal, history
+    files) puts rows in.
+
+    Rows sort as tuples.  Where an untyped column mixes numbers and
+    strings they do not compare, and that relation's rows are ordered
+    by ``(type name, value)`` per cell instead.
+    """
+    ordered = {}
+    for rel, rows in relations.items():
+        try:
+            ordered[rel] = sorted(rows)
+        except TypeError:
+            ordered[rel] = sorted(rows, key=_typed_cells)
+    return ordered

@@ -53,6 +53,10 @@ def fsync_enabled(sync) -> bool:
     a disk flush); ``sync="force"`` ignores it, which the durability
     chaos jobs assert — an environment variable must never be able to
     weaken the property actually under test.
+
+    This is the one place the environment is read, and a store asks
+    once, when it is constructed: what it answered then holds for the
+    store's life (a forked child that builds its own store asks again).
     """
     if sync == SYNC_FORCE:
         return True
@@ -63,18 +67,19 @@ def fsync_enabled(sync) -> bool:
     )
 
 
-def fsync_file(fh, sync) -> None:
-    """``fsync`` an open file if the sync setting calls for it."""
-    if fsync_enabled(sync):
+def fsync_file(fh, enabled: bool) -> None:
+    """``fsync`` an open file if ``enabled`` (a resolved
+    :func:`fsync_enabled` answer, not a ``sync=`` setting)."""
+    if enabled:
         os.fsync(fh.fileno())
 
 
-def fsync_dir(directory: PathLike, sync) -> None:
+def fsync_dir(directory: PathLike, enabled: bool) -> None:
     """``fsync`` a directory so renamed/created entries survive a host
-    crash, if the sync setting calls for it."""
-    if not fsync_enabled(sync):
+    crash, if ``enabled`` (a resolved :func:`fsync_enabled` answer)."""
+    if not enabled:
         return
-    fd = os.open(Path(directory), os.O_RDONLY)
+    fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:

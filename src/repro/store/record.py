@@ -24,8 +24,8 @@ or refuse.
 
 from __future__ import annotations
 
-import hashlib
 import json
+from hashlib import blake2s
 from pathlib import Path
 from typing import List, Optional, Union
 
@@ -39,18 +39,23 @@ DIGEST_HEX_LEN = 16
 
 PathLike = Union[str, Path]
 
+#: The payload text of a record: what ``json.dumps(record,
+#: sort_keys=True)`` returns, from one encoder built once (``dumps``
+#: builds a new encoder at every call with a non-default option).
+canonical_json = json.JSONEncoder(sort_keys=True).encode
+
 
 def payload_digest(payload: bytes) -> str:
     """The 16-hex-digit blake2s-64 digest of a record payload."""
-    return hashlib.blake2s(payload, digest_size=8).hexdigest()
+    return blake2s(payload, digest_size=8).hexdigest()
 
 
 def encode_record(record: dict) -> bytes:
     """Frame one JSON-able record as a checksummed line (with newline)."""
-    payload = json.dumps(record, sort_keys=True).encode("ascii")
+    payload = canonical_json(record).encode("ascii")
+    digest = blake2s(payload, digest_size=8).hexdigest()
     return (
-        f"{STORE_MAGIC} {len(payload)} "
-        f"{payload_digest(payload)} ".encode("ascii")
+        f"{STORE_MAGIC} {len(payload)} {digest} ".encode("ascii")
         + payload
         + b"\n"
     )

@@ -40,20 +40,29 @@ raise :class:`~repro.resilience.chaos.SimulatedCrash` in-process
 (``failpoints={...}``) or hard-kill the process via ``os._exit`` when
 the ``REPRO_STORE_FAILPOINT=<name>:<nth>`` environment variable is set
 (the real-subprocess crash tests).
+
+What the environment decides — that variable, and whether ``sync=True``
+really fsyncs — is read once, when a store is constructed, and holds
+for the store's life; a child process that builds its store after
+``fork`` reads its own.  The record and checkpoint paths work on
+strings computed then: no ``Path`` is built and no variable looked up
+per record or per checkpoint.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import StoreCorruption, StoreError
 from repro.store.base import (
+    SYNC_FORCE,
     PathLike,
     StateStore,
     StoreSnapshot,
     fsync_dir,
+    fsync_enabled,
     fsync_file,
 )
 from repro.store.lock import JournalLock
@@ -92,14 +101,23 @@ FAILPOINT_EXIT = 37
 _env_hits: Dict[str, int] = {}
 
 
+def _env_failpoint() -> Tuple[Optional[str], int]:
+    """``(name, nth)`` of the environment's kill point, ``(None, 1)``
+    when the variable is unset."""
+    spec_name, _, nth_text = os.environ.get(FAILPOINT_ENV, "").partition(":")
+    try:
+        nth = int(nth_text) if nth_text else 1
+    except ValueError:
+        nth = 1
+    return spec_name or None, nth
+
+
 def segment_name(epoch: int) -> str:
     """File name of the journal segment for a checkpoint epoch."""
     return f"{SEGMENT_PREFIX}{epoch:08d}{SEGMENT_SUFFIX}"
 
 
-def segment_epoch(path: PathLike) -> int:
-    """Parse a segment file name back to its epoch (-1 if malformed)."""
-    name = Path(path).name
+def _name_epoch(name: str) -> int:
     if not (name.startswith(SEGMENT_PREFIX)
             and name.endswith(SEGMENT_SUFFIX)):
         return -1
@@ -110,13 +128,29 @@ def segment_epoch(path: PathLike) -> int:
         return -1
 
 
+def segment_epoch(path: PathLike) -> int:
+    """Parse a segment file name back to its epoch (-1 if malformed)."""
+    return _name_epoch(os.path.basename(path))
+
+
+def _segment_files(directory) -> List[Tuple[int, str]]:
+    """``(epoch, file name)`` of every well-named segment file in a
+    store directory, by epoch, from one ``listdir``."""
+    try:
+        names = os.listdir(directory)
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+    return sorted(
+        (epoch, name)
+        for epoch, name in zip(map(_name_epoch, names), names)
+        if epoch >= 0
+    )
+
+
 def list_segments(directory: PathLike) -> List[Path]:
     """Every well-named segment file in a store directory, by epoch."""
-    return sorted(
-        (p for p in Path(directory).glob(SEGMENT_GLOB)
-         if segment_epoch(p) >= 0),
-        key=segment_epoch,
-    )
+    directory = Path(directory)
+    return [directory / name for _, name in _segment_files(directory)]
 
 
 class SegmentStore(StateStore):
@@ -146,6 +180,16 @@ class SegmentStore(StateStore):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.sync = sync
+        #: fixed for the life of the store, so resolved here and not
+        #: per record or checkpoint: whether ``sync`` really fsyncs, the
+        #: environment's kill point, and the files of the protocol
+        self._fsync = fsync_enabled(sync)
+        self._kill_at, self._kill_nth = _env_failpoint()
+        self._dir = str(self.directory)
+        self._checkpoint_file = os.path.join(self._dir, CHECKPOINT_NAME)
+        self._prev_file = os.path.join(self._dir, PREV_CHECKPOINT_NAME)
+        self._tmp_file = self._checkpoint_file + ".tmp"
+        self._cold_file = os.path.join(self._dir, COLD_NAME)
         self._failpoints: Set[str] = set(failpoints)
         self._fh = None
         #: torn-tail bytes of the active segment, discovered by a
@@ -168,17 +212,17 @@ class SegmentStore(StateStore):
     @property
     def checkpoint_path(self) -> Path:
         """The current checkpoint file."""
-        return self.directory / CHECKPOINT_NAME
+        return Path(self._checkpoint_file)
 
     @property
     def prev_checkpoint_path(self) -> Path:
         """The retained previous-generation checkpoint file."""
-        return self.directory / PREV_CHECKPOINT_NAME
+        return Path(self._prev_file)
 
     @property
     def cold_path(self) -> Path:
         """The SQLite cold anchor tier (may not exist)."""
-        return self.directory / COLD_NAME
+        return Path(self._cold_file)
 
     @property
     def journal_path(self) -> Path:
@@ -192,9 +236,9 @@ class SegmentStore(StateStore):
 
     def _discover_epoch(self) -> int:
         """On re-attach, resume numbering after the newest artifact."""
-        epochs = [segment_epoch(p) for p in list_segments(self.directory)]
-        for path in (self.checkpoint_path, self.prev_checkpoint_path):
-            if path.exists():
+        epochs = [epoch for epoch, _ in _segment_files(self._dir)]
+        for path in (self._checkpoint_file, self._prev_file):
+            if os.path.exists(path):
                 scan = scan_segment(path)
                 if scan.clean and scan.records:
                     epoch = scan.records[0].get("epoch")
@@ -205,6 +249,7 @@ class SegmentStore(StateStore):
     # -- failpoints ----------------------------------------------------
 
     def _failpoint(self, name: str) -> None:
+        """The seam every crash window of the protocol passes."""
         if name in self._failpoints:
             from repro.resilience.chaos import SimulatedCrash
 
@@ -213,18 +258,10 @@ class SegmentStore(StateStore):
             # so recovery in this process can steal it like a respawn
             self.abandon()
             raise SimulatedCrash(f"storage failpoint {name}")
-        spec = os.environ.get(FAILPOINT_ENV, "")
-        if not spec:
+        if name != self._kill_at:
             return
-        spec_name, _, nth_text = spec.partition(":")
-        if spec_name != name:
-            return
-        try:
-            nth = int(nth_text) if nth_text else 1
-        except ValueError:
-            nth = 1
         _env_hits[name] = _env_hits.get(name, 0) + 1
-        if _env_hits[name] >= nth:
+        if _env_hits[name] >= self._kill_nth:
             # a hard kill, not an exception: nothing below this frame
             # gets to flush, close, or release locks — exactly a crash
             os._exit(FAILPOINT_EXIT)
@@ -235,7 +272,10 @@ class SegmentStore(StateStore):
         if self._cold is None:
             from repro.store.sqlite import ColdAnchorStore
 
-            self._cold = ColdAnchorStore(self.cold_path)
+            # the tier gets the answer this store got, not the question
+            self._cold = ColdAnchorStore(
+                self._cold_file, sync=SYNC_FORCE if self._fsync else False
+            )
         return self._cold
 
     # -- StateStore ----------------------------------------------------
@@ -250,7 +290,7 @@ class SegmentStore(StateStore):
             # covered by the checkpoint this rotation belongs to
             self._fh.close()
             self._uncommitted = False
-        path = self.directory / segment_name(epoch)
+        path = os.path.join(self._dir, segment_name(epoch))
         if truncate:
             # rotation starts a fresh segment; any recorded tail
             # damage belonged to the (retained) previous one
@@ -263,7 +303,7 @@ class SegmentStore(StateStore):
             with open(path, "r+b") as fh:
                 fh.truncate(self._truncate_tail)
                 fh.flush()
-                fsync_file(fh, self.sync)
+                fsync_file(fh, self._fsync)
             self._truncate_tail = None
         mode = "wb" if truncate else "ab"
         self._fh = open(path, mode)
@@ -278,21 +318,22 @@ class SegmentStore(StateStore):
 
         Nothing is promised about it until :meth:`commit` returns.
         """
-        self._check_open()
-        if self._fh is None:
+        if self._fh is None:  # before the first record, or closed
+            self._check_open()
             self._open_segment(max(self._epoch, 0))
         self._fh.write(encode_record(record))
         self._uncommitted = True
         self._records_written += 1
 
     def commit(self) -> None:
-        """Make every written record durable: flush, then fsync when
-        ``sync`` — the two ``record_*_fsync`` crash windows."""
+        """Make every written record durable: one flush, then fsync
+        when ``sync`` — the two ``record_*_fsync`` crash windows."""
         if not self._uncommitted:
             return
         self._fh.flush()
         self._failpoint("record_pre_fsync")
-        fsync_file(self._fh, self.sync)
+        if self._fsync:  # ``fsync_file`` without its frame
+            os.fsync(self._fh.fileno())
         self._failpoint("record_post_fsync")
         self._uncommitted = False
 
@@ -301,14 +342,14 @@ class SegmentStore(StateStore):
         """Commit one checkpoint generation (the 4-step protocol)."""
         self._check_open()
         new_epoch = self._epoch + 1
-        cold_rows = dict(cold_rows or {})
+        fsync = self._fsync
 
         # 1. cold generation first: until step 2 renames the
         # checkpoint, nothing references generation new_epoch
         cold_meta: Dict[str, dict] = {}
         if cold_rows:
             cold_meta = self._cold_store().write_generation(
-                new_epoch, cold_rows, sync=self.sync
+                new_epoch, cold_rows
             )
 
         # 2. atomic checkpoint: tmp + fsync + rename, keeping the old
@@ -318,30 +359,29 @@ class SegmentStore(StateStore):
             "document": document,
             "cold": cold_meta,
         })
-        tmp = self.checkpoint_path.with_name(CHECKPOINT_NAME + ".tmp")
-        with open(tmp, "wb") as fh:
+        with open(self._tmp_file, "wb") as fh:
             fh.write(frame)
             fh.flush()
-            fsync_file(fh, self.sync)
+            fsync_file(fh, fsync)
         self._failpoint("checkpoint_pre_rename")
-        if self.checkpoint_path.is_file():
-            os.replace(self.checkpoint_path, self.prev_checkpoint_path)
-        os.replace(tmp, self.checkpoint_path)
-        fsync_dir(self.directory, self.sync)
+        if os.path.isfile(self._checkpoint_file):
+            os.replace(self._checkpoint_file, self._prev_file)
+        os.replace(self._tmp_file, self._checkpoint_file)
+        fsync_dir(self._dir, fsync)
         self._failpoint("checkpoint_post_rename")
 
         # 3. rotate: open the new epoch's segment
         self._open_segment(new_epoch, truncate=True)
-        fsync_file(self._fh, self.sync)
-        fsync_dir(self.directory, self.sync)
+        fsync_file(self._fh, fsync)
+        fsync_dir(self._dir, fsync)
         self._failpoint("rotate_pre_unlink")
 
         # 4. reclaim everything beyond the retention window
         horizon = new_epoch - (RETAIN_GENERATIONS - 1)
-        for path in list_segments(self.directory):
-            if segment_epoch(path) < horizon:
-                path.unlink()
-        if cold_rows or self.cold_path.exists():
+        for epoch, name in _segment_files(self._dir):
+            if epoch < horizon:
+                os.unlink(os.path.join(self._dir, name))
+        if cold_rows or os.path.exists(self._cold_file):
             try:
                 self._cold_store().vacuum(horizon)
             except StoreError:  # pragma: no cover - sqlite unavailable
@@ -360,10 +400,10 @@ class SegmentStore(StateStore):
         previous generation is the fallback for either failure.
         """
         for path, fallback in (
-            (self.checkpoint_path, False),
-            (self.prev_checkpoint_path, True),
+            (self._checkpoint_file, False),
+            (self._prev_file, True),
         ):
-            if not path.exists():
+            if not os.path.exists(path):
                 continue
             scan = scan_segment(path)
             if not scan.clean or not scan.records:
@@ -401,10 +441,11 @@ class SegmentStore(StateStore):
         torn = 0
         broken = False
         self._truncate_tail = None
-        for path in list_segments(self.directory):
-            if segment_epoch(path) < epoch:
+        active = segment_name(max(self._epoch, 0))
+        for segment, name in _segment_files(self._dir):
+            if segment < epoch:
                 continue  # retained for deeper fallback only
-            scan = scan_segment(path)
+            scan = scan_segment(os.path.join(self._dir, name))
             if broken:
                 # a gap before these records: replaying them against
                 # the truncated state would diverge — they are lost too
@@ -414,7 +455,7 @@ class SegmentStore(StateStore):
             torn += scan.dropped_lines
             if not scan.clean:
                 broken = True
-                if path == self.journal_path and self._fh is None:
+                if name == active and self._fh is None:
                     # damage in the segment appends reopen: remember
                     # the valid prefix so the first append truncates
                     # the torn tail instead of writing after it

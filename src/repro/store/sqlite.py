@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import StoreCorruption, StoreError
 from repro.store.base import fsync_enabled
-from repro.store.record import payload_digest
+from repro.store.record import canonical_json, payload_digest
 
 PathLike = Union[str, Path]
 
@@ -66,9 +66,14 @@ def _node_digest(checksums: List[str]) -> str:
 
 
 class ColdAnchorStore:
-    """Generational SQLite table of cold anchor rows."""
+    """Generational SQLite table of cold anchor rows.
 
-    def __init__(self, path: PathLike):
+    ``sync`` follows the store discipline (``False`` / ``True`` /
+    ``"force"``); it is resolved here, once, into the connection's
+    ``PRAGMA synchronous``.
+    """
+
+    def __init__(self, path: PathLike, sync=False):
         try:
             import sqlite3
         except ImportError:  # pragma: no cover - stdlib module absent
@@ -87,6 +92,10 @@ class ColdAnchorStore:
                 kind="garbled", path=self.path,
             ) from None
         try:
+            self._conn.execute(
+                "PRAGMA synchronous = %s"
+                % ("FULL" if fsync_enabled(sync) else "OFF")
+            )
             self._conn.executescript(
                 """
                 CREATE TABLE IF NOT EXISTS cold_rows (
@@ -112,18 +121,14 @@ class ColdAnchorStore:
                 kind="garbled", path=self.path,
             ) from None
 
-    def write_generation(self, gen: int, rows: Dict[str, list],
-                         sync=False) -> Dict[str, dict]:
+    def write_generation(self, gen: int,
+                         rows: Dict[str, list]) -> Dict[str, dict]:
         """Write one full cold generation; returns its meta mapping.
 
         The returned ``{node: {"rows": n, "digest": d}}`` mapping is
         what the checkpoint frame embeds — the cross-file binding that
         lets recovery verify the tier against the checkpoint.
         """
-        self._conn.execute(
-            "PRAGMA synchronous = %s"
-            % ("FULL" if fsync_enabled(sync) else "OFF")
-        )
         meta: Dict[str, dict] = {}
         with self._conn:
             # overwrite any half-written attempt at this generation
@@ -135,25 +140,27 @@ class ColdAnchorStore:
                 "DELETE FROM cold_meta WHERE gen = ?", (gen,)
             )
             for node, anchors in sorted(rows.items()):
-                checksums = []
-                for anchor in anchors:
-                    payload = json.dumps(anchor, sort_keys=True)
-                    checksum = payload_digest(payload.encode("ascii"))
-                    checksums.append(checksum)
-                    self._conn.execute(
-                        "INSERT INTO cold_rows (gen, node, payload, "
-                        "checksum) VALUES (?, ?, ?, ?)",
-                        (gen, node, payload, checksum),
-                    )
+                payloads = list(map(canonical_json, anchors))
+                checksums = [
+                    payload_digest(payload.encode("ascii"))
+                    for payload in payloads
+                ]
+                self._conn.executemany(
+                    "INSERT INTO cold_rows (gen, node, payload, "
+                    "checksum) VALUES (?, ?, ?, ?)",
+                    [(gen, node, payload, checksum)
+                     for payload, checksum in zip(payloads, checksums)],
+                )
                 meta[node] = {
                     "rows": len(checksums),
                     "digest": _node_digest(checksums),
                 }
-                self._conn.execute(
-                    "INSERT INTO cold_meta (gen, node, row_count, "
-                    "digest) VALUES (?, ?, ?, ?)",
-                    (gen, node, meta[node]["rows"], meta[node]["digest"]),
-                )
+            self._conn.executemany(
+                "INSERT INTO cold_meta (gen, node, row_count, "
+                "digest) VALUES (?, ?, ?, ?)",
+                [(gen, node, entry["rows"], entry["digest"])
+                 for node, entry in meta.items()],
+            )
         return meta
 
     def read_generation(self, gen: int,

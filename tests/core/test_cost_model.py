@@ -16,11 +16,14 @@ and the size of every container it constructs are the delta's.
 """
 
 import gc
+import io
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -269,6 +272,184 @@ def test_the_frame_count_is_exact(frame_readings):
         "print((frames_per_step('SHAPE_A'), frames_per_step('SHAPE_C')))"
     )
     readings = {repr(frame_readings)}
+    for seed in ("0", "1992"):
+        readings.add(subprocess.run(
+            [sys.executable, "-c", code],
+            env={
+                "PYTHONHASHSEED": seed, "PYTHONDONTWRITEBYTECODE": "1",
+                "PATH": os.environ.get("PATH", ""),
+            },
+            cwd=Path(__file__).resolve().parents[2],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip())
+    assert len(readings) == 1, readings
+
+
+# ----------------------------------------------------------------------
+# What the journal adds to a step: exact counts
+# ----------------------------------------------------------------------
+
+JOURNAL_STEPS = 512
+CHECKPOINT_EVERY = 64
+
+
+class _CountingEnviron:
+    """``os.environ`` with every lookup counted."""
+
+    def __init__(self, environ):
+        self._environ = environ
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return self._environ.get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return self._environ[key]
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return key in self._environ
+
+    def __getattr__(self, name):
+        return getattr(self._environ, name)
+
+
+def _counting_open(writes):
+    """An ``open`` whose files count the ``write`` calls that reach the
+    descriptor, by the first letters of the file's name."""
+
+    class CountingFile(io.FileIO):
+        def write(self, data):
+            writes[self.kind] += 1
+            return super().write(data)
+
+    def counting_open(path, mode):
+        raw = CountingFile(path, mode)
+        raw.kind = str(path).rpartition(os.sep)[2][:3]
+        return io.BufferedWriter(raw)
+
+    return counting_open
+
+
+def journal_counts():
+    """What a segment journal (a checkpoint every 64 records, flush
+    only) adds to ``Monitor.step`` on shape A, per step over the second
+    half of the stream — four checkpoints in 256 steps, so they are in
+    at their amortised share: Python frames entered (journaled run
+    minus bare run), frames of ``pathlib``, ``os.environ`` lookups, and
+    the ``write`` calls reaching a segment or the checkpoint file."""
+    from perfbench import loadgen
+    from repro.core.monitor import Monitor
+    from repro.store import segment
+
+    stream = loadgen.fleet(loadgen.SHAPE_A, JOURNAL_STEPS, FLEET_SEED)
+    settled = JOURNAL_STEPS // 2
+    measured = JOURNAL_STEPS - settled
+    writes = Counter()
+    environ = _CountingEnviron(os.environ)
+    frames = {}
+    pathlib_frames = 0
+
+    def count(frame, event, arg):
+        nonlocal pathlib_frames
+        filename = frame.f_code.co_filename
+        if event == "call" and filename != __file__:  # not the spies
+            frames[journaled] += 1
+            if "pathlib" in filename:
+                pathlib_frames += 1
+
+    for journaled in (False, True):
+        monitor = Monitor(sensors.SCHEMA)
+        for constraint in sensors.constraints():
+            monitor.add_constraint(constraint.name, constraint.formula)
+        frames[journaled] = 0
+        with tempfile.TemporaryDirectory() as scratch:
+            segment.open = _counting_open(writes)
+            try:
+                if journaled:
+                    monitor.enable_journal(
+                        scratch, checkpoint_every=CHECKPOINT_EVERY,
+                        sync=False,
+                    )
+                for time, txn in stream[:settled]:
+                    monitor.step(time, txn)
+                writes.clear()
+                # a collection would run whatever finalizers the
+                # process has pending: frames that are not the step's
+                gc.collect()
+                gc.disable()
+                os.environ = environ
+                sys.setprofile(count)
+                try:
+                    for time, txn in stream[settled:]:
+                        monitor.step(time, txn)
+                finally:
+                    sys.setprofile(None)
+                    os.environ = environ._environ
+                    gc.enable()
+            finally:
+                del segment.open
+                if journaled:
+                    monitor.journal.close()
+    return {
+        "frames": (frames[True] - frames[False]) / measured,
+        "pathlib_frames": pathlib_frames,
+        "environ_lookups": environ.lookups,
+        "segment_writes": writes["wal"] / measured,
+        "checkpoint_writes": writes["che"] / (measured // CHECKPOINT_EVERY),
+    }
+
+
+@pytest.fixture(scope="module")
+def journal_readings():
+    return journal_counts()
+
+
+def test_the_journal_adds_a_fixed_handful_of_frames(journal_readings):
+    """Record and checkpoint together, amortised: the parent of the
+    change that framed a record once entered 36.14 more frames a step."""
+    assert 0 < journal_readings["frames"] <= 14
+
+
+def test_nothing_fixed_is_looked_up_again(journal_readings):
+    """No environment variable is read and no ``Path`` built per record
+    or per checkpoint: what they decide is fixed when the store is."""
+    assert journal_readings["environ_lookups"] == 0
+    assert journal_readings["pathlib_frames"] == 0
+
+
+def test_a_record_is_written_once(journal_readings, tmp_path, monkeypatch):
+    """One ``write`` reaches the segment per appended record, one the
+    checkpoint file per checkpoint, and one the segment per group
+    commit however many records the group holds."""
+    from repro.store import SegmentStore, segment
+
+    assert journal_readings["segment_writes"] == 1
+    assert journal_readings["checkpoint_writes"] == 1
+    writes = Counter()
+    monkeypatch.setattr(
+        segment, "open", _counting_open(writes), raising=False
+    )
+    with SegmentStore(tmp_path / "s") as store:
+        for t in range(5):
+            store.write({"t": t})
+        assert not writes
+        store.commit()
+        assert writes == {"wal": 1}
+        store.append({"t": 5})
+        assert writes == {"wal": 2}
+        assert [r["t"] for r in store.load().records] == list(range(6))
+
+
+def test_the_journal_counts_are_exact(journal_readings):
+    code = (
+        "import sys; sys.path[:0] = ['src', '.']\n"
+        "from tests.core.test_cost_model import journal_counts\n"
+        "print(journal_counts())"
+    )
+    readings = {repr(journal_readings)}
     for seed in ("0", "1992"):
         readings.add(subprocess.run(
             [sys.executable, "-c", code],

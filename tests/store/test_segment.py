@@ -14,6 +14,7 @@ from repro.errors import StoreError
 from repro.resilience import SimulatedCrash
 from repro.store import (
     FAILPOINTS,
+    FSYNC_ENV,
     MemoryStore,
     SegmentStore,
     list_segments,
@@ -312,3 +313,61 @@ class TestMemoryParity:
         store.close()
         with pytest.raises(StoreError, match="closed"):
             store.append({"t": 1})
+
+
+class TestSyncIsResolvedAtConstruction:
+    """Whether ``sync`` really fsyncs is asked once, when the store is
+    built; ``"force"`` never depends on the answer."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        import os
+
+        calls = []
+        monkeypatch.setattr(os, "fsync", calls.append)
+        return calls
+
+    def exercise(self, store):
+        store.append({"t": 1})
+        store.checkpoint(checkpoint_doc(1), {"aux0": [[[1], [1]]]})
+        store.append({"t": 2})
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_force_ignores_the_escape_hatch(
+        self, tmp_path, monkeypatch, fsyncs, when
+    ):
+        monkeypatch.delenv(FSYNC_ENV, raising=False)
+        if when == "before":
+            monkeypatch.setenv(FSYNC_ENV, "off")
+        with SegmentStore(tmp_path / "s", sync="force") as store:
+            monkeypatch.setenv(FSYNC_ENV, "off")
+            self.exercise(store)
+            synchronous = store._cold_store()._conn.execute(
+                "PRAGMA synchronous"
+            ).fetchone()
+        # a record each, and in the checkpoint: the temp file, the
+        # directory after the renames, the new segment, the directory
+        assert len(fsyncs) == 2 + 4
+        assert synchronous == (2,)  # FULL
+
+    def test_true_keeps_the_answer_it_got(
+        self, tmp_path, monkeypatch, fsyncs
+    ):
+        monkeypatch.setenv(FSYNC_ENV, "off")
+        with SegmentStore(tmp_path / "off", sync=True) as store:
+            monkeypatch.delenv(FSYNC_ENV)
+            self.exercise(store)
+            synchronous = store._cold_store()._conn.execute(
+                "PRAGMA synchronous"
+            ).fetchone()
+        assert fsyncs == [] and synchronous == (0,)  # OFF
+        with SegmentStore(tmp_path / "on", sync=True) as store:
+            monkeypatch.setenv(FSYNC_ENV, "off")
+            self.exercise(store)
+        assert len(fsyncs) == 2 + 4
+
+    def test_flush_only_never_fsyncs(self, tmp_path, monkeypatch, fsyncs):
+        monkeypatch.delenv(FSYNC_ENV, raising=False)
+        with SegmentStore(tmp_path / "s", sync=False) as store:
+            self.exercise(store)
+        assert fsyncs == []
