@@ -1,44 +1,37 @@
-"""The experiment runner: one code path for tables, charts, and JSON.
+"""The experiment runner: each experiment's table, charts and verdict.
 
 Each ``bench_eN_*.py`` module exposes ``run(recorder, profile)`` — a
-plain function that sweeps its parameter, records table rows and raw
-samples into a :class:`Recorder`, and *declares* the paper-shape
-expectations its experiment must uphold.  The runner then renders the
-human-readable table + ASCII charts (``benchmarks/results/eN.txt``),
-evaluates the declared shapes, and (on request) writes the
-machine-readable ``BENCH_<exp>.json`` artifact — all from the same
-recorded data, so the three outputs can never drift apart.
+plain function that sweeps its parameter, records table rows into a
+:class:`Recorder`, and *declares* the paper-shape expectations its
+experiment must uphold.  The recorder renders the human-readable
+table + ASCII charts (``benchmarks/results/eN.txt``) and evaluates the
+declared shapes with :mod:`repro.analysis.shapes` over the very rows
+it rendered.
 
 Two sweep profiles ship: ``full`` (the EXPERIMENTS.md sweeps) and
-``short`` (a trimmed sweep for the CI perf-smoke gate).
+``short`` (a trimmed sweep for CI's perf-smoke job).
 
-Entry points:
-
-* ``python -m repro bench --all --json`` — the CLI front end;
-* ``pytest benchmarks/`` — each module's ``test_eN`` wrapper calls
-  :func:`run_for_pytest`, which runs the experiment, regenerates the
-  results files, and asserts every declared shape
-  (``REPRO_BENCH_PROFILE=short`` trims the sweeps).
+There is one way to run them: ``pytest benchmarks/`` — each module's
+``test_eN`` wrapper calls :func:`run_for_pytest`, which runs the
+experiment, regenerates its results file, and asserts every declared
+shape (``REPRO_BENCH_PROFILE=short`` trims the sweeps).  The E-series
+asserts *shapes*; a timing claim between two commits is made with
+``python3 -m perfbench`` and ``tools/pair_bench.py`` instead.
 """
 
 from __future__ import annotations
 
 import importlib
+import math
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.ascii_plot import bar_chart
 from repro.analysis.report import format_table
-from repro.obs.bench import (
-    artifact_path,
-    build_artifact,
-    evaluate_shape,
-    write_artifact,
-)
+from repro.analysis.shapes import growth_order, is_flat
 
-BENCH_DIR = Path(__file__).parent
-RESULTS_DIR = BENCH_DIR / "results"
+RESULTS_DIR = Path(__file__).parent / "results"
 
 #: experiment id -> module implementing ``run(recorder, profile)``
 EXPERIMENTS: Dict[str, str] = {
@@ -90,22 +83,24 @@ def ensure_workloads_lint_clean() -> None:
     _WORKLOADS_LINTED = True
 
 
-class Recorder:
-    """Accumulates one experiment's rows, samples, and expectations."""
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    def __init__(self, experiment: str, profile: str = "full",
-                 registry=None):
+
+class Recorder:
+    """Accumulates one experiment's rows and expectations."""
+
+    def __init__(self, experiment: str, profile: str = "full"):
         if profile not in PROFILES:
             raise ValueError(f"unknown profile {profile!r}")
         self.experiment = experiment
         self.profile = profile
-        self.registry = registry
         self.title = ""
         self.headers: Optional[List[str]] = None
         self.rows: List[List[Any]] = []
-        self.samples: Dict[str, List[float]] = {}
-        self._expectations: List[Dict[str, Any]] = []
-        self._adhoc: List[Dict[str, Any]] = []
+        #: (name, series, judge); judge(xs, ys) -> (ok, what was measured)
+        self._expectations: List[Tuple[str, str, Callable]] = []
+        self._checks: List[Tuple[str, bool, str]] = []
 
     # -- recording -----------------------------------------------------
 
@@ -122,67 +117,90 @@ class Recorder:
             self.title = title
         self.rows.append(list(row))
 
-    def sample_series(self, name: str, values: Sequence[float]) -> None:
-        """Attach raw per-step samples (kept verbatim in the artifact)."""
-        self.samples[name] = [float(v) for v in values]
-
     # -- shape expectations (evaluated over the recorded table) --------
 
     def expect_flat(self, name: str, series: str,
                     tolerance_ratio: float = 3.0) -> None:
         """The column must stay within a max/min ratio (no trend)."""
-        self._expectations.append({
-            "name": name, "kind": "flat", "series": series,
-            "tolerance_ratio": tolerance_ratio,
-        })
+        def judge(xs, ys):
+            positive = [y for y in ys if y > 0]
+            ratio = max(positive) / min(positive) if positive else 1.0
+            return is_flat(ys, tolerance_ratio), (
+                f"max/min ratio {ratio:.2f} vs tolerance {tolerance_ratio}"
+            )
+        self._expectations.append((name, series, judge))
 
     def expect_growth(self, name: str, series: str,
                       min_order: Optional[float] = None,
                       max_order: Optional[float] = None) -> None:
         """The column's log-log slope must lie within the bounds."""
-        self._expectations.append({
-            "name": name, "kind": "growth", "series": series,
-            "min_order": min_order, "max_order": max_order,
-        })
+        low = -math.inf if min_order is None else min_order
+        high = math.inf if max_order is None else max_order
+
+        def judge(xs, ys):
+            try:
+                order = growth_order(xs, ys)
+            except ValueError:  # fewer than two points, or one x value
+                return False, f"fitted order n/a vs [{low}, {high}]"
+            return low <= order <= high, (
+                f"fitted order {order:.2f} vs [{low}, {high}]"
+            )
+        self._expectations.append((name, series, judge))
 
     def expect_max(self, name: str, series: str, limit: float) -> None:
         """Every value of the column must stay <= limit."""
-        self._expectations.append({
-            "name": name, "kind": "max", "series": series,
-            "limit": limit,
-        })
+        def judge(xs, ys):
+            return max(ys) <= limit, f"peak {max(ys):g} vs limit {limit:g}"
+        self._expectations.append((name, series, judge))
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
         """Record an ad-hoc verdict (verdict equality, lag bounds, ...)
-        that cannot be recomputed from the table alone."""
-        self._adhoc.append({
-            "name": name, "kind": "check", "ok": bool(ok),
-            "value": None, "detail": detail,
-        })
+        that is not a property of one table column."""
+        self._checks.append((name, bool(ok), detail))
 
     # -- evaluation / output -------------------------------------------
 
-    def shape_results(self) -> List[Dict[str, Any]]:
-        """Every expectation evaluated against the recorded table."""
-        headers = self.headers or []
-        results = [
-            evaluate_shape(spec, headers, self.rows)
-            for spec in self._expectations
-        ]
-        return [r for r in results if r is not None] + list(self._adhoc)
+    def _column(self, series: str) -> Tuple[List[float], List[float]]:
+        """``(xs, ys)`` of a named column; x is the sweep (first) column.
 
-    def failures(self) -> List[Dict[str, Any]]:
-        return [r for r in self.shape_results() if not r["ok"]]
+        Non-numeric cells are dropped pairwise; a non-numeric x (an
+        engine name, ``"*"`` for an unbounded window) falls back to the
+        row index so a growth fit still has a monotone axis.
+        """
+        col = (self.headers or []).index(series)
+        pairs = [
+            (row[0] if _is_number(row[0]) else index, row[col])
+            for index, row in enumerate(self.rows)
+            if _is_number(row[col])
+        ]
+        return [float(x) for x, _ in pairs], [float(y) for _, y in pairs]
+
+    def failures(self) -> List[str]:
+        """One ``name (measured)`` line per expectation that failed."""
+        verdicts = []
+        for name, series, judge in self._expectations:
+            try:
+                xs, ys = self._column(series)
+            except ValueError:
+                ok, detail = False, f"no column {series!r} in table"
+            else:
+                ok, detail = (
+                    judge(xs, ys) if ys else (False, "series has no data")
+                )
+            verdicts.append((name, ok, detail))
+        return [
+            f"{name} ({detail})"
+            for name, ok, detail in verdicts + self._checks
+            if not ok
+        ]
 
     def assert_shapes(self) -> None:
         """Raise AssertionError naming every failed expectation."""
         failures = self.failures()
         if failures:
-            summary = "; ".join(
-                f"{f['name']} ({f.get('detail', '')})" for f in failures
-            )
             raise AssertionError(
-                f"{self.experiment}: shape expectation(s) failed: {summary}"
+                f"{self.experiment}: shape expectation(s) failed: "
+                + "; ".join(failures)
             )
 
     def table_text(self) -> str:
@@ -203,81 +221,41 @@ class Recorder:
         charts = []
         for col in range(1, len(headers)):
             values = [row[col] for row in self.rows]
-            if not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                and v >= 0
-                for v in values
-            ):
+            if not all(_is_number(v) and v >= 0 for v in values):
                 continue
             charts.append(bar_chart(labels, values, title=headers[col]))
         return "\n\n".join(charts)
 
-    def artifact(self) -> Dict[str, Any]:
-        """The experiment as a validated ``BENCH_<exp>.json`` document."""
-        metrics = None
-        if self.registry is not None:
-            from repro.obs import render_json
-
-            metrics = render_json(self.registry)
-        return build_artifact(
-            self.experiment,
-            self.title,
-            self.profile,
-            self.headers or [],
-            self.rows,
-            shapes=self.shape_results(),
-            samples=self.samples,
-            metrics=metrics,
-        )
-
-    def write(self, out_dir: Path, json_artifact: bool = False) -> None:
-        """Write ``<exp>.txt`` (and optionally the JSON artifact)."""
+    def write(self, out_dir: Path) -> None:
+        """Write ``<exp>.txt`` — the table and its charts."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / f"{self.experiment}.txt").write_text(self.table_text())
-        if json_artifact:
-            write_artifact(
-                self.artifact(), artifact_path(out_dir, self.experiment)
-            )
 
 
 def run_experiment(
     experiment: str,
     profile: str = "full",
     out_dir: Optional[Path] = None,
-    json_artifact: bool = False,
-    metrics: bool = False,
 ) -> Recorder:
-    """Run one experiment and write its outputs; returns the recorder.
+    """Run one experiment and write its table; returns the recorder.
 
     Args:
         experiment: id from :data:`EXPERIMENTS`.
         profile: sweep profile (``short`` / ``full``).
-        out_dir: results directory (default ``benchmarks/results``);
-            pass the same directory for every experiment of a run.
-        json_artifact: also write ``BENCH_<exp>.json``.
-        metrics: attach a fresh :class:`~repro.obs.MetricsRegistry` the
-            experiment streams per-step samples into; its dump is
-            embedded in the artifact (implies nothing without
-            ``json_artifact``).
+        out_dir: results directory (default ``benchmarks/results``).
     """
     ensure_workloads_lint_clean()
-    module_name = EXPERIMENTS[experiment]
-    module = importlib.import_module(module_name)
-    registry = None
-    if metrics:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-    recorder = Recorder(experiment, profile, registry=registry)
+    module = importlib.import_module(EXPERIMENTS[experiment])
+    recorder = Recorder(experiment, profile)
     module.run(recorder, profile)
-    recorder.write(out_dir or RESULTS_DIR, json_artifact=json_artifact)
+    recorder.write(out_dir or RESULTS_DIR)
     return recorder
 
 
 def run_for_pytest(experiment: str) -> Recorder:
-    """Pytest entry: run, regenerate results + artifact, assert shapes."""
+    """Pytest entry: run, regenerate the results file, assert shapes."""
     profile = os.environ.get("REPRO_BENCH_PROFILE", "full")
-    recorder = run_experiment(experiment, profile, json_artifact=True)
+    recorder = run_experiment(experiment, profile)
     recorder.assert_shapes()
     return recorder

@@ -57,11 +57,6 @@ def run(recorder, profile="full"):
             title="auxiliary space vs history length "
                   f"(random workload, window 8, seed {SEED})",
         )
-        if length == lengths[-1]:
-            recorder.sample_series(
-                "incremental space samples (longest run)",
-                metrics.space_samples,
-            )
     recorder.expect_growth(
         "incremental aux space must not grow with history length",
         "incremental peak aux", max_order=0.3,

@@ -14,12 +14,6 @@ the longest run is driven through the :class:`~repro.Monitor` facade
 in interleaved (telemetry off, telemetry on) pairs, and the cleanest
 pair's on/off ratio of tail-mean step times must stay under 1.05 (the
 "allocation-free when disabled, cheap when enabled" overhead gate).
-
-When the runner attaches a metrics registry (``repro bench
---metrics``), every per-step sample also streams through the same
-``repro_step_seconds`` families runtime instrumentation emits, and the
-registry dump is embedded in the ``BENCH_e2.json`` artifact — for
-diffing benchmark runs against live telemetry.
 """
 
 from time import perf_counter
@@ -99,13 +93,9 @@ def run(recorder, profile="full"):
     lengths = PROFILES[profile]
     for length in lengths:
         stream = list(WORKLOAD.stream(length, seed=SEED))
-        incremental = measure_run(
-            WORKLOAD.checker(), stream, registry=recorder.registry
-        )
+        incremental = measure_run(WORKLOAD.checker(), stream)
         naive = measure_run(
-            NaiveChecker(WORKLOAD.schema, WORKLOAD.constraints),
-            stream,
-            registry=recorder.registry,
+            NaiveChecker(WORKLOAD.schema, WORKLOAD.constraints), stream
         )
         inc_us = incremental.tail_mean_step_seconds() * 1e6
         naive_us = naive.tail_mean_step_seconds() * 1e6
@@ -129,14 +119,6 @@ def run(recorder, profile="full"):
             title="steady-state per-step check time, unbounded ONCE "
                   f"(seed {SEED})",
         )
-        if length == lengths[-1]:
-            recorder.sample_series(
-                "incremental step seconds (longest run)",
-                incremental.step_seconds,
-            )
-            recorder.sample_series(
-                "naive step seconds (longest run)", naive.step_seconds
-            )
     recorder.expect_flat(
         "incremental per-step time must not trend with history length",
         "incremental us/step (tail)", tolerance_ratio=4.0,

@@ -2,8 +2,7 @@
 
 The experiments live in plain ``run(recorder, profile)`` functions
 (see ``_experiments.py``); each ``bench_eN_*.py`` carries a thin
-``test_eN`` wrapper, so ``pytest benchmarks/`` regenerates
-``results/eN.txt`` + ``BENCH_<exp>.json`` and asserts every declared
-paper shape.  Set ``REPRO_BENCH_PROFILE=short`` for the trimmed CI
-sweeps.
+``test_eN`` wrapper, so ``pytest benchmarks/`` — the one way to run
+them — regenerates ``results/eN.txt`` and asserts every declared paper
+shape.  Set ``REPRO_BENCH_PROFILE=short`` for the trimmed CI sweeps.
 """

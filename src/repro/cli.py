@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Thirteen subcommands::
+Eleven subcommands::
 
     repro-check check    --schema s.json --constraints c.txt --history h.jsonl
     repro-check ingest   --schema s.json --constraints c.txt --source a.jsonl
@@ -11,8 +11,6 @@ Thirteen subcommands::
     repro-check stats    --trace t.jsonl [--percentiles]
     repro-check health   SNAPSHOT [SNAPSHOT ...] [--merge-out h.json]
     repro-check state    inspect|watch|top|bound-check --schema ... --history ...
-    repro-check bench    --all --json [--profile short|full]
-    repro-check perf     --check benchmarks/baselines [--candidate DIR]
     repro-check recover  --journal DIR [--history h.jsonl]
     repro-check scrub    DIR [--repair] [--format json]
 
@@ -37,14 +35,10 @@ safety verdict, clock horizon, temporal node counts — and, given a
 trace, joins in the observed per-constraint runtime figures.  ``stats``
 summarises a trace: step/evaluate latencies per constraint and an
 ASCII step-latency histogram (``--percentiles`` adds p50/p90/p99).
-``bench`` runs the paper's experiments through the structured runner
-in ``benchmarks/_experiments.py``, regenerating ``results/eN.txt`` and
-(with ``--json``) the machine-readable ``BENCH_<exp>.json`` artifacts.
-``perf`` compares a candidate run against committed baselines and
-exits non-zero when a paper *shape* breaks (timing deltas warn only,
-or gate with ``--strict``).  ``recover`` restores a crashed ``check
---journal`` run from its checkpoint + journal directory and optionally
-continues over the remaining history (see ``docs/robustness.md``).
+``recover`` restores a crashed ``check --journal`` run from its
+checkpoint + journal directory (or, for a ``--shards`` run, from the
+shard manifest under the journal root) and optionally continues over
+the remaining history (see ``docs/robustness.md``).
 ``scrub`` verifies every checksum in a journal directory (shard trees
 included) and exits 0 clean / 1 corruption found / 2 unrepairable;
 ``--repair`` truncates torn tails, promotes fallback generations, and
@@ -96,7 +90,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core import ENGINES
 from repro.errors import ReproError
@@ -649,83 +643,6 @@ def _add_state(commands) -> None:
     state.set_defaults(handler=_command_state)
 
 
-def _add_bench(commands) -> None:
-    bench = commands.add_parser(
-        "bench", help="run the paper's experiments (structured runner)"
-    )
-    bench.add_argument(
-        "--all", action="store_true", help="run every experiment"
-    )
-    bench.add_argument(
-        "-e", "--experiment", action="append", default=None,
-        metavar="EXP", help="experiment id (e1..e12); repeatable",
-    )
-    bench.add_argument(
-        "--profile", choices=("short", "full"), default="full",
-        help="sweep profile (default: full; CI smoke uses short)",
-    )
-    bench.add_argument(
-        "--json", action="store_true",
-        help="also write a BENCH_<exp>.json artifact per experiment",
-    )
-    bench.add_argument(
-        "--metrics", action="store_true",
-        help="embed a per-run metrics-registry dump in each artifact",
-    )
-    bench.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="output directory (default: <bench-dir>/results)",
-    )
-    bench.add_argument(
-        "--bench-dir", default=None, metavar="DIR",
-        help="directory holding the bench_e*.py experiments "
-             "(default: ./benchmarks, or the repo checkout's)",
-    )
-    bench.add_argument(
-        "--strict", action="store_true",
-        help="exit non-zero when any shape expectation fails",
-    )
-    bench.set_defaults(handler=_command_bench)
-
-
-def _add_perf(commands) -> None:
-    perf = commands.add_parser(
-        "perf", help="compare benchmark artifacts against baselines"
-    )
-    perf.add_argument(
-        "--check", required=True, metavar="DIR",
-        help="baseline directory of committed BENCH_*.json artifacts",
-    )
-    perf.add_argument(
-        "--candidate", default=None, metavar="DIR",
-        help="candidate artifact directory (default: run the baseline "
-             "experiments fresh)",
-    )
-    perf.add_argument(
-        "--profile", choices=("short", "full"), default="short",
-        help="sweep profile for fresh candidate runs (default: short)",
-    )
-    perf.add_argument(
-        "--noise", type=float, default=0.25,
-        help="multiplicative noise band for series deltas "
-             "(default: 0.25)",
-    )
-    perf.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="keep fresh candidate artifacts here (default: temp dir)",
-    )
-    perf.add_argument(
-        "--bench-dir", default=None, metavar="DIR",
-        help="directory holding the bench_e*.py experiments",
-    )
-    perf.add_argument(
-        "--strict", action="store_true",
-        help="also exit non-zero on timing regressions (not just "
-             "broken shapes)",
-    )
-    perf.set_defaults(handler=_command_perf)
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for doc generation/tests).
 
@@ -756,8 +673,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         _add_stats,
         _add_health,
         _add_state,
-        _add_bench,
-        _add_perf,
     ):
         add(commands)
     return parser
@@ -1695,24 +1610,37 @@ def _command_state(args: argparse.Namespace) -> int:
 
 
 def _command_recover(args: argparse.Namespace) -> int:
-    from repro.core.monitor import Monitor
     from repro.core.violations import RunReport
     from repro.db.storage import load_stream
+    from repro.shard.monitor import MANIFEST_NAME
 
-    monitor, result = Monitor.recover(args.journal)
+    if (Path(args.journal) / MANIFEST_NAME).is_file():
+        # the journal root of a 'check --shards' run: every shard
+        # recovers from its own journal, in shard order
+        from repro.shard import ShardedMonitor
+
+        monitor, info = ShardedMonitor.recover(args.journal)
+        times = [str(r["checkpoint_time"]) for r in info["recoveries"]]
+        checkpoint = (
+            f"checkpoints at t={', '.join(times)} ({len(times)} shards)"
+        )
+        replayed = sum(r["replayed"] for r in info["recoveries"])
+    else:
+        from repro.core.monitor import Monitor
+
+        monitor, result = Monitor.recover(args.journal)
+        checkpoint = f"checkpoint at t={result.checkpoint_time}"
+        replayed = result.journal_entries
     monitor.set_fault_policy(args.fault_policy)
     if not args.quiet:
         print(
-            f"recovered from {args.journal}: checkpoint at "
-            f"t={result.checkpoint_time}, replayed "
-            f"{result.journal_entries} journal record(s), "
-            f"now at t={monitor.now}"
+            f"recovered from {args.journal}: {checkpoint}, replayed "
+            f"{replayed} journal record(s), now at t={monitor.now}"
         )
     # replayed violations were already reported before the crash; the
     # verdict covers only states checked for the first time here
     if not args.history:
-        if monitor.journal is not None:
-            monitor.journal.close()
+        _close_run(monitor)
         return 0
     _require_file(args.history, "--history")
     resumed_at = monitor.now
@@ -1721,8 +1649,7 @@ def _command_recover(args: argparse.Namespace) -> int:
         if resumed_at is not None and t <= resumed_at:
             continue  # already covered by checkpoint + journal
         continued.add(monitor.step(t, txn))
-    if monitor.journal is not None:
-        monitor.journal.close()
+    _close_run(monitor)
     if not args.quiet:
         print(
             f"continued over {len(continued)} remaining state(s) "
@@ -2151,156 +2078,6 @@ def _command_stats(args: argparse.Namespace) -> int:
     )
     if args.metrics:
         _print_event_time_sections(args.metrics, args.percentiles)
-    return 0
-
-
-def _find_bench_dir(override: Optional[str]) -> Path:
-    """Locate the directory holding ``_experiments.py`` + bench modules."""
-    candidates = (
-        [Path(override)]
-        if override
-        else [
-            Path.cwd() / "benchmarks",
-            Path(__file__).resolve().parents[2] / "benchmarks",
-        ]
-    )
-    for candidate in candidates:
-        if (candidate / "_experiments.py").is_file():
-            return candidate.resolve()
-    raise ReproError(
-        "cannot locate the benchmarks directory "
-        "(run from the repo root or pass --bench-dir)"
-    )
-
-
-def _bench_runner(bench_dir: Path):
-    """Import ``benchmarks/_experiments.py`` as the experiment runner."""
-    import importlib
-
-    if str(bench_dir) not in sys.path:
-        sys.path.insert(0, str(bench_dir))
-    module = importlib.import_module("_experiments")
-    loaded = Path(getattr(module, "__file__", "")).resolve().parent
-    if loaded != bench_dir:
-        raise ReproError(
-            f"a different _experiments module is already loaded "
-            f"(from {loaded}); cannot run {bench_dir}"
-        )
-    return module
-
-
-def _experiment_order(ids) -> List[str]:
-    """Experiment ids in numeric order (e1, e2, ..., e12)."""
-    def key(exp: str):
-        digits = "".join(ch for ch in exp if ch.isdigit())
-        return (int(digits) if digits else 0, exp)
-
-    return sorted(ids, key=key)
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    bench_dir = _find_bench_dir(args.bench_dir)
-    runner = _bench_runner(bench_dir)
-    known = _experiment_order(runner.EXPERIMENTS)
-    if args.all:
-        selected = known
-    elif args.experiment:
-        unknown = [e for e in args.experiment if e not in runner.EXPERIMENTS]
-        if unknown:
-            raise ReproError(
-                f"unknown experiment(s): {', '.join(unknown)} "
-                f"(known: {', '.join(known)})"
-            )
-        selected = _experiment_order(set(args.experiment))
-    else:
-        raise ReproError(
-            f"pass --all or -e <exp> (known: {', '.join(known)})"
-        )
-    out_dir = Path(args.out) if args.out else bench_dir / "results"
-    failures = []
-    for exp in selected:
-        recorder = runner.run_experiment(
-            exp,
-            profile=args.profile,
-            out_dir=out_dir,
-            json_artifact=args.json,
-            metrics=args.metrics,
-        )
-        written = f"{out_dir / (exp + '.txt')}"
-        if args.json:
-            from repro.obs.bench import artifact_path
-
-            written += f", {artifact_path(out_dir, exp)}"
-        print(f"[{exp}] {recorder.title} -> {written}")
-        for failure in recorder.failures():
-            failures.append((exp, failure))
-            print(
-                f"[{exp}] SHAPE FAILED: {failure['name']} "
-                f"({failure.get('detail', '')})"
-            )
-    print(
-        f"ran {len(selected)} experiment(s), profile={args.profile}, "
-        f"{len(failures)} shape failure(s)"
-    )
-    if failures and args.strict:
-        return 1
-    return 0
-
-
-def _command_perf(args: argparse.Namespace) -> int:
-    from repro.obs.bench import read_artifact_dir
-    from repro.obs.regress import compare_dirs, format_report
-
-    baseline_dir = Path(args.check)
-    try:
-        baselines = read_artifact_dir(baseline_dir)
-    except (OSError, ValueError) as exc:
-        raise ReproError(f"cannot read baselines: {exc}") from exc
-    if not baselines:
-        raise ReproError(f"no BENCH_*.json artifacts in {baseline_dir}")
-
-    if args.candidate:
-        candidate_dir = Path(args.candidate)
-    else:
-        import tempfile
-
-        bench_dir = _find_bench_dir(args.bench_dir)
-        runner = _bench_runner(bench_dir)
-        candidate_dir = Path(
-            args.out or tempfile.mkdtemp(prefix="repro-perf-")
-        )
-        for exp in _experiment_order(baselines):
-            if exp not in runner.EXPERIMENTS:
-                print(f"note: no experiment module for baseline {exp}")
-                continue
-            print(f"[{exp}] running candidate sweep ({args.profile}) ...")
-            runner.run_experiment(
-                exp,
-                profile=args.profile,
-                out_dir=candidate_dir,
-                json_artifact=True,
-            )
-    try:
-        comparisons, notes = compare_dirs(
-            baseline_dir, candidate_dir, noise=args.noise
-        )
-    except (OSError, ValueError) as exc:
-        raise ReproError(f"cannot compare artifacts: {exc}") from exc
-    print(format_report(comparisons, notes))
-    broken = [c.experiment for c in comparisons if c.shape_broken]
-    regressed = [c.experiment for c in comparisons if c.regressions]
-    if broken:
-        print(
-            f"\nFAIL: paper shape(s) broken in {', '.join(broken)}",
-            file=sys.stderr,
-        )
-        return 1
-    if regressed:
-        message = f"timing regression(s) in {', '.join(regressed)}"
-        if args.strict:
-            print(f"\nFAIL: {message}", file=sys.stderr)
-            return 1
-        print(f"\nwarning: {message} (within shape bounds; not gating)")
     return 0
 
 

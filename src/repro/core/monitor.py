@@ -377,12 +377,18 @@ class Monitor(MonitorFacade):
     # resilience configuration
     # ------------------------------------------------------------------
 
-    def _publish_sharing_metrics(self, checker) -> None:
-        """Expose the checker's subformula-dedup accounting as gauges."""
+    def _publish_sharing_metrics(self) -> None:
+        """Expose the checker's subformula-dedup accounting as gauges.
+
+        Called wherever a metrics registry meets a built incremental
+        checker: when the checker is built under instrumentation, and
+        when :meth:`instrument` reaches one that already exists (a
+        resumed or recovered monitor, or a late attach).
+        """
         metrics = self._metrics()
-        if metrics is None:
+        if metrics is None or self.engine != "incremental":
             return
-        stats = checker.sharing_stats()
+        stats = self._checker.sharing_stats()
         metrics.gauge(
             "repro_aux_classes",
             help="auxiliary states maintained (equivalence classes)",
@@ -605,18 +611,17 @@ class Monitor(MonitorFacade):
         """The underlying engine (created lazily at first use)."""
         if self._checker is None:
             self._checker = self._build_checker()
+            self._publish_sharing_metrics()
             if self._budget is not None:
                 self._checker.budget = self._budget
         return self._checker
 
     def _build_checker(self):
         if self.engine == "incremental":
-            checker = IncrementalChecker(
+            return IncrementalChecker(
                 self.schema, self.constraints, initial=self.initial,
                 instrumentation=self.instrumentation,
             )
-            self._publish_sharing_metrics(checker)
-            return checker
         if self.engine in ("naive", "naive-memo"):
             from repro.core.naive import NaiveChecker
 
@@ -654,6 +659,7 @@ class Monitor(MonitorFacade):
             engine = getattr(self._checker, "engine", None)
             if engine is not None and hasattr(engine, "instrumentation"):
                 engine.instrumentation = instrumentation
+            self._publish_sharing_metrics()
 
     def step(self, time: Timestamp, txn: Transaction) -> StepReport:
         """Apply one transaction at ``time`` and check all constraints.

@@ -25,10 +25,7 @@ check — see ``docs/observability.md`` for the overhead discussion.
 
 Performance observability rides the same hooks:
 :class:`~repro.obs.profiler.Profiler` aggregates per-operator
-cumulative/self time (``top``/``tree`` reports),
-:mod:`repro.obs.bench` defines the machine-readable ``BENCH_<exp>.json``
-benchmark artifact, and :mod:`repro.obs.regress` compares fresh
-artifacts against committed baselines (the ``repro perf`` gate).
+cumulative/self time (``top``/``tree`` reports).
 
 Event-time observability answers the operational question — "how long
 after an event *arrived* did its verdict land?":
@@ -55,14 +52,6 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_surface
 
 if TYPE_CHECKING:
-    from repro.obs.bench import (
-        BENCH_SCHEMA,
-        build_artifact,
-        percentile,
-        read_artifact,
-        validate_artifact,
-        write_artifact,
-    )
     from repro.obs.export import (
         render_json,
         render_prometheus,
@@ -92,13 +81,9 @@ if TYPE_CHECKING:
         Gauge,
         Histogram,
         MetricsRegistry,
+        percentile,
     )
     from repro.obs.profiler import Profile, Profiler
-    from repro.obs.regress import (
-        compare_artifacts,
-        compare_dirs,
-        format_report,
-    )
     from repro.obs.slo import (
         INDICATORS,
         SLO_VERSION,
@@ -122,7 +107,6 @@ if TYPE_CHECKING:
     from repro.obs.tracer import Tracer, read_trace
 
 __all__ = [
-    "BENCH_SCHEMA",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
@@ -147,40 +131,29 @@ __all__ = [
     "StateAlert",
     "StateWatch",
     "Tracer",
-    "build_artifact",
     "build_health",
     "build_sharded_health",
-    "compare_artifacts",
-    "compare_dirs",
-    "format_report",
     "load_health",
     "load_slo_file",
     "load_state",
     "merge_health",
     "parse_slo_doc",
     "percentile",
-    "read_artifact",
     "read_flight",
     "read_trace",
     "render_health_text",
     "render_json",
     "render_prometheus",
     "render_state_text",
-    "validate_artifact",
     "validate_flight",
     "validate_health",
     "validate_state",
-    "write_artifact",
     "write_health",
     "write_metrics",
     "write_state",
 ]
 
 lazy_surface(__name__, {
-    "repro.obs.bench": (
-        "BENCH_SCHEMA", "build_artifact", "percentile", "read_artifact",
-        "validate_artifact", "write_artifact",
-    ),
     "repro.obs.export": ("render_json", "render_prometheus", "write_metrics"),
     "repro.obs.flight": (
         "FLIGHT_VERSION", "FlightRecorder", "read_flight", "validate_flight",
@@ -193,12 +166,9 @@ lazy_surface(__name__, {
     "repro.obs.instrument": ("Instrumentation", "MonitorInstrumentation"),
     "repro.obs.metrics": (
         "DEFAULT_LATENCY_BUCKETS", "DEFAULT_SIZE_BUCKETS", "Counter", "Gauge",
-        "Histogram", "MetricsRegistry",
+        "Histogram", "MetricsRegistry", "percentile",
     ),
     "repro.obs.profiler": ("Profile", "Profiler"),
-    "repro.obs.regress": (
-        "compare_artifacts", "compare_dirs", "format_report",
-    ),
     "repro.obs.slo": (
         "INDICATORS", "SLO_VERSION", "SLOAlert", "SLOEngine", "SLOSpec",
         "load_slo_file", "parse_slo_doc",

@@ -180,6 +180,27 @@ class Histogram:
         return self.sum / self.count if self.count else 0.0
 
 
+def percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) of raw samples, linearly
+    interpolated.
+
+    The exact counterpart of :meth:`Histogram.quantile` for callers
+    that kept every observation (``repro stats --percentiles`` over a
+    trace).  Matches the common "linear" definition (numpy's default)
+    without requiring numpy; returns 0.0 for an empty input.
+    """
+    if not values:
+        return 0.0
+    if not 0 <= q <= 100:
+        raise ValueError("percentile q must be within [0, 100]")
+    ordered = sorted(values)
+    rank = (len(ordered) - 1) * q / 100.0
+    low = int(rank)
+    high = min(low + 1, len(ordered) - 1)
+    fraction = rank - low
+    return ordered[low] * (1 - fraction) + ordered[high] * fraction
+
+
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 

@@ -34,7 +34,7 @@ every call site guards with ``if telemetry is not None``, so the
 disabled path costs one attribute load per site and allocates nothing;
 the enabled path pre-resolves its histogram children at construction,
 so a stamp is a clock read plus a couple of dict operations.  The
-overhead bound (< 5% on the BENCH_e2 tail step time) is pinned by the
+overhead bound (< 5% on E2's tail step time) is pinned by the
 ``telemetry/monitor`` column of benchmark e2.
 
 Events are keyed by their **normalised timestamp** — the value the

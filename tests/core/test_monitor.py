@@ -221,3 +221,60 @@ class TestViolationHandlers:
         monitor.on_violation(lambda v: order.append("second"))
         monitor.step(0, ins("q", (1,)))
         assert order == ["first", "second"]
+
+
+class TestSharingGaugesReachEveryRegistry:
+    """``repro_aux_classes`` / ``_shared_nodes`` / ``_dedup_ratio`` are
+    published wherever a registry meets a built incremental checker —
+    not only when the monitor builds the checker itself."""
+
+    GAUGES = {
+        "repro_aux_classes": 1.0,
+        "repro_aux_shared_nodes": 1.0,
+        "repro_aux_dedup_ratio": 0.5,
+    }
+
+    def stepped(self, tiny_schema):
+        monitor = Monitor(tiny_schema)
+        monitor.add_constraint("a", "q(x) -> ONCE[0,3] p(x)")
+        monitor.add_constraint("b", "q(y) -> ONCE[0,3] p(y)")
+        monitor.step(0, ins("p", (1,)))
+        return monitor
+
+    def attach(self, monitor):
+        from repro.obs import MetricsRegistry, MonitorInstrumentation
+
+        registry = MetricsRegistry()
+        monitor.instrument(MonitorInstrumentation(metrics=registry))
+        return {
+            name: series[0][1].value
+            for name, _kind, _help, series in registry.families()
+            if name in self.GAUGES
+        }
+
+    def test_attached_after_the_checker_exists(self, tiny_schema):
+        assert self.attach(self.stepped(tiny_schema)) == self.GAUGES
+
+    def test_attached_after_resume(self, tiny_schema, tmp_path):
+        self.stepped(tiny_schema).save(tmp_path / "c.json")
+        resumed = Monitor.resume(tmp_path / "c.json")
+        assert self.attach(resumed) == self.GAUGES
+
+    def test_attached_after_recover(self, tiny_schema, tmp_path):
+        monitor = Monitor(tiny_schema)
+        monitor.add_constraint("a", "q(x) -> ONCE[0,3] p(x)")
+        monitor.add_constraint("b", "q(y) -> ONCE[0,3] p(y)")
+        monitor.enable_journal(tmp_path / "j", checkpoint_every=1)
+        monitor.step(0, ins("p", (1,)))
+        monitor.journal.close()
+        recovered, _ = Monitor.recover(tmp_path / "j")
+        try:
+            assert self.attach(recovered) == self.GAUGES
+        finally:
+            recovered.journal.close()
+
+    def test_other_engines_publish_nothing(self, tiny_schema):
+        monitor = Monitor(tiny_schema, engine="naive")
+        monitor.add_constraint("a", "q(x) -> ONCE[0,3] p(x)")
+        monitor.step(0, ins("p", (1,)))
+        assert self.attach(monitor) == {}

@@ -6,6 +6,7 @@ from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
+    percentile,
 )
 
 
@@ -126,6 +127,26 @@ class TestHistogramQuantile:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="quantile"):
             Histogram((1.0,)).quantile(1.5)
+
+
+class TestPercentile:
+    """The exact counterpart over raw samples (``repro stats``)."""
+
+    def test_interpolates_linearly(self):
+        values = [1.0, 2.0, 3.0, 4.0]
+        assert percentile(values, 0) == 1.0
+        assert percentile(values, 100) == 4.0
+        assert percentile(values, 50) == pytest.approx(2.5)
+
+    def test_order_independent(self):
+        assert percentile([3.0, 1.0, 2.0], 50) == 2.0
+
+    def test_empty_is_zero(self):
+        assert percentile([], 99) == 0.0
+
+    def test_out_of_range_raises(self):
+        with pytest.raises(ValueError):
+            percentile([1.0], 101)
 
 
 class TestRegistry:

@@ -220,119 +220,6 @@ class TestStats:
             assert column in out
 
 
-class TestBench:
-    def test_bench_writes_table_and_artifact(self, tmp_path, capsys):
-        from repro.obs.bench import read_artifact
-
-        status = main(
-            [
-                "bench", "-e", "e1", "--profile", "short",
-                "--json", "--out", str(tmp_path),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "[e1]" in out
-        table = (tmp_path / "e1.txt").read_text()
-        assert "history length" in table
-        doc = read_artifact(tmp_path / "BENCH_e1.json")
-        assert doc["experiment"] == "e1"
-        assert doc["profile"] == "short"
-        assert doc["shapes"] and all(s["ok"] for s in doc["shapes"])
-
-    def test_bench_unknown_experiment(self, tmp_path, capsys):
-        status = main(
-            ["bench", "-e", "e99", "--out", str(tmp_path)]
-        )
-        assert status == 2
-        assert "e99" in capsys.readouterr().err
-
-
-class TestPerf:
-    def _write_pair(self, tmp_path, candidate_rows):
-        from repro.obs.bench import (
-            artifact_path,
-            build_artifact,
-            evaluate_shape,
-            write_artifact,
-        )
-
-        headers = ["history length", "incremental us/step (tail)"]
-        shape = {
-            "name": "incremental per-step time must not trend",
-            "kind": "flat",
-            "series": "incremental us/step (tail)",
-            "tolerance_ratio": 4.0,
-        }
-        base_dir = tmp_path / "baselines"
-        cand_dir = tmp_path / "candidate"
-        base_rows = [[50, 10.0], [100, 10.5], [200, 10.2]]
-        for directory, rows in ((base_dir, base_rows),
-                                (cand_dir, candidate_rows)):
-            doc = build_artifact(
-                "e2", "synthetic", "short", headers, rows,
-                shapes=[evaluate_shape(dict(shape), headers, rows)],
-            )
-            write_artifact(doc, artifact_path(directory, "e2"))
-        return base_dir, cand_dir
-
-    def test_broken_shape_fails_the_gate(self, tmp_path, capsys):
-        # deliberately break the E2 flatness claim: per-step time now
-        # trends with the history length
-        base_dir, cand_dir = self._write_pair(
-            tmp_path, [[50, 10.0], [100, 40.0], [200, 160.0]]
-        )
-        status = main(
-            ["perf", "--check", str(base_dir), "--candidate", str(cand_dir)]
-        )
-        out = capsys.readouterr().out
-        assert status == 1
-        assert "BROKEN" in out
-        assert "shape-broken" in out
-
-    def test_matching_candidate_passes(self, tmp_path, capsys):
-        base_dir, cand_dir = self._write_pair(
-            tmp_path, [[50, 10.1], [100, 10.4], [200, 10.3]]
-        )
-        status = main(
-            ["perf", "--check", str(base_dir), "--candidate", str(cand_dir)]
-        )
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "perf gate summary" in out
-
-    def test_timing_regression_warns_without_strict(self, tmp_path, capsys):
-        base_dir, cand_dir = self._write_pair(
-            tmp_path, [[50, 30.0], [100, 31.0], [200, 30.5]]
-        )
-        status = main(
-            ["perf", "--check", str(base_dir), "--candidate", str(cand_dir)]
-        )
-        out = capsys.readouterr().out
-        assert status == 0  # advisory by default
-        assert "regressed" in out
-        strict = main(
-            [
-                "perf", "--check", str(base_dir),
-                "--candidate", str(cand_dir), "--strict",
-            ]
-        )
-        capsys.readouterr()
-        assert strict == 1
-
-    def test_empty_baseline_dir_is_an_error(self, tmp_path, capsys):
-        (tmp_path / "base").mkdir()
-        (tmp_path / "cand").mkdir()
-        status = main(
-            [
-                "perf", "--check", str(tmp_path / "base"),
-                "--candidate", str(tmp_path / "cand"),
-            ]
-        )
-        assert status == 2
-        assert "error:" in capsys.readouterr().err
-
-
 class TestAnalyze:
     def test_profiles(self, tmp_path, capsys):
         constraints = tmp_path / "c.txt"
@@ -584,6 +471,68 @@ class TestRecoverCommand:
         status = main(["recover", "--journal", str(tmp_path / "nope")])
         assert status == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_recover_on_a_shard_journal_root(self, tmp_path, capsys):
+        """``check --shards --journal ROOT`` points users at ``recover``
+        on the journal root: it must go through the shard manifest and
+        finish the run with the verdicts the unsharded run reports."""
+        wl = tmp_path / "wl"
+        main(
+            [
+                "generate", "--workload", "sensors", "--length", "60",
+                "--seed", "3", "--violation-rate", "0.3", "--out", str(wl),
+            ]
+        )
+        lines = (wl / "history.jsonl").read_text().splitlines()
+        half = tmp_path / "half.jsonl"
+        half.write_text("\n".join(lines[:30]) + "\n")
+
+        def verdict_rows(out):
+            table = out[out.index("constraint "):].splitlines()[2:]
+            return [row.split() for row in table]
+
+        def check(history, *extra):
+            status = main(
+                [
+                    "check", "--no-lint", "--max-violations", "1000",
+                    "--schema", str(wl / "schema.json"),
+                    "--constraints", str(wl / "constraints.txt"),
+                    "--history", str(history), *extra,
+                ]
+            )
+            out = capsys.readouterr().out
+            return status, verdict_rows(out)
+
+        _, whole = check(wl / "history.jsonl")
+        root = tmp_path / "root"
+        _, before = check(
+            half, "--shards", "2", "--shard-key", "sensor",
+            "--journal", str(root), "--checkpoint-every", "8",
+        )
+        assert (root / "shard-plan.json").is_file()
+        status = main(
+            [
+                "recover", "--journal", str(root), "--max-violations",
+                "1000", "--history", str(wl / "history.jsonl"),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert f"recovered from {root}" in out and "(2 shards)" in out
+        assert f"continued over {len(lines) - 30} remaining state(s)" in out
+        after = verdict_rows(out)
+        assert before and after and before + after == whole
+        assert status == 1
+        # everything is covered now: nothing left to continue over
+        status = main(
+            [
+                "recover", "--journal", str(root),
+                "--history", str(wl / "history.jsonl"),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert "continued over 0 remaining state(s)" in out
+        assert "no new violations" in out
+        assert status == 0
 
 
 class TestIngestCommand:

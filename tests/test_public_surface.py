@@ -57,7 +57,7 @@ def collisions(package):
 
 def test_the_snapshot_covers_the_thirteen_packages():
     assert len(PACKAGES) == 13
-    assert sum(len(names) for names in SNAPSHOT.values()) == 345
+    assert sum(len(names) for names in SNAPSHOT.values()) == 337
 
 
 @pytest.mark.parametrize("package", PACKAGES)
@@ -126,7 +126,7 @@ class TestOptions:
         ]
 
     @staticmethod
-    def option_strings(command):
+    def subparsers():
         import argparse
 
         from repro.cli import build_arg_parser
@@ -135,9 +135,13 @@ class TestOptions:
             action for action in build_arg_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
         )
+        return commands.choices
+
+    @classmethod
+    def option_strings(cls, command):
         return sorted(
             option
-            for action in commands.choices[command.split()[-1]]._actions
+            for action in cls.subparsers()[command.split()[-1]]._actions
             for option in action.option_strings
         )
 
@@ -152,6 +156,9 @@ class TestOptions:
         assert self.option_strings(command) == (
             self.OPTIONS["options"][command]
         )
+
+    def test_subcommands(self):
+        assert sorted(self.subparsers()) == self.OPTIONS["subcommands"]
 
 
 def test_version_is_a_plain_attribute():
