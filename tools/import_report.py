@@ -11,6 +11,16 @@ module is compiled from source — and prints the self time per package,
 how many modules were loaded (``repro`` / all) and the ten dearest
 modules.  ``--json`` prints the same as one document, for a CI artifact.
 
+The child interpreter starts under ``-S``, without ``site``: the report
+counts and prices what the entry imports, not what ``site`` and the
+``.pth`` startup hooks of the interpreter's site-packages import (a CA
+bundle hook that loads ``certifi``, setuptools'
+``distutils-precedence.pth``, an editable install's finder).
+``PYTHONPATH`` carries ``src``, and no entry needs site-packages: the
+package declares no runtime dependency.  The ``-X importtime`` self times
+leave the hook imports out too, so the ``--json`` reports of two
+machines compare.
+
 The entries are also what ``tests/test_import_budget.py`` runs: it
 asserts *which* modules each one may load (counts, never times).
 """
@@ -109,8 +119,9 @@ IMPORTTIME = re.compile(r"^import time:\s+(\d+) \|\s+(\d+) \| ( *)(\S+)$")
 
 
 def run_entry(entry: str, src: Path = ROOT / "src", importtime: bool = False):
-    """Run ``entry`` in a fresh interpreter: (loaded modules, stderr)."""
-    command = [sys.executable]
+    """Run ``entry`` in a fresh interpreter without ``site``: (loaded
+    modules, stderr)."""
+    command = [sys.executable, "-S"]
     if importtime:
         command += ["-X", "importtime"]
     command += ["-c", ENTRIES[entry] + REPORT_MODULES]
