@@ -31,19 +31,23 @@ are exactly the violating valuations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.auxiliary import AuxiliaryState, make_auxiliary
 from repro.core.engine import Engine
-from repro.core.formulas import Atom, Formula, Not, Since
+from repro.core.formulas import (
+    Aggregate, Atom, Comparison, Const, Formula, Not, Since, Var,
+)
 from repro.core.normalize import canonicalize_variant, normalize
 from repro.core.parser import parse
+from repro.core.paths import FormulaPath, walk_with_paths
 from repro.core.safety import check_node_conditions, check_safe
 from repro.core.views import StateProvider, View
 from repro.db.algebra import Delta, Table
 from repro.db.database import DatabaseState
 from repro.db.schema import DatabaseSchema
 from repro.db.transactions import Transaction
+from repro.db.types import Domain
 from repro.errors import SchemaError
 from repro.temporal.clock import Timestamp
 
@@ -91,7 +95,10 @@ class Constraint:
             check_safe(self.violation_formula)
 
     def validate_schema(self, schema: DatabaseSchema) -> None:
-        """Check that every atom matches the schema's relations/arities."""
+        """Check that every atom matches the schema's relations/arities
+        and that nothing mixes the kinds of value its domains allow
+        (:func:`type_conflicts`): a comparison of a string column with a
+        number would otherwise fail at the first row that reaches it."""
         for sub in self.formula.walk():
             if isinstance(sub, Atom):
                 rel = schema.relation(sub.relation)
@@ -101,9 +108,154 @@ class Constraint:
                         f"{len(sub.terms)} argument(s) but relation "
                         f"{sub.relation!r} has arity {rel.arity}"
                     )
+        for message, _path, _root in type_conflicts(self.formula, schema):
+            raise SchemaError(f"constraint {self.name!r}: {message}")
 
     def __repr__(self) -> str:
         return f"Constraint({self.name!r}: {self.formula})"
+
+
+#: Kinds of value for :func:`type_conflicts`: every domain holds numbers,
+#: strings, or both.
+_NUM: FrozenSet[str] = frozenset({"num"})
+_STR: FrozenSet[str] = frozenset({"str"})
+_BOTH: FrozenSet[str] = _NUM | _STR
+
+
+def _domain_kind(domain: Domain) -> FrozenSet[str]:
+    if domain is Domain.STR:
+        return _STR
+    if domain is Domain.ANY:
+        return _BOTH
+    return _NUM
+
+
+def _value_kind(value: object) -> FrozenSet[str]:
+    return _STR if isinstance(value, str) else _NUM
+
+
+def _kind_word(kinds: FrozenSet[str]) -> str:
+    return "/".join(sorted(kinds)) if kinds else "nothing"
+
+
+def type_conflicts(
+    formula: Formula, schema: Optional[DatabaseSchema]
+) -> List[Tuple[str, FormulaPath, Formula]]:
+    """Constants and comparisons of ``formula`` against the declared
+    domains: ``(message, path, root)`` per conflict, the path into
+    ``root``, the normalized formula.
+
+    A deliberately lightweight inference: variables are classified as
+    numeric, string, or either (``ANY``), seeded from the attribute
+    positions they occupy and propagated through comparisons.  Only
+    *certain* conflicts are reported, so ``ANY`` attributes never
+    produce one.  Atoms that do not fit the schema are skipped (the
+    schema check reports them).
+    """
+    # normalize desugars and renames bound variables apart, so one
+    # global kind map per variable is sound; atoms and comparisons
+    # survive normalization (negation only flips comparison operators)
+    renamed = normalize(formula)
+    out: List[Tuple[str, FormulaPath, Formula]] = []
+    kinds: Dict[str, FrozenSet[str]] = {}
+    conflicted: Set[str] = set()
+
+    def narrow(var: str, kind: FrozenSet[str], context: str,
+               path: FormulaPath) -> None:
+        previous = kinds.get(var, _BOTH)
+        kinds[var] = previous & kind
+        if not kinds[var] and var not in conflicted:
+            conflicted.add(var)
+            out.append((
+                f"variable {var!r} is used at both numeric and string "
+                f"positions ({context})",
+                path, renamed,
+            ))
+
+    # one walk: the nodes the inference reads, in walk order
+    atoms: List[Tuple[FormulaPath, Atom]] = []
+    comparisons: List[Tuple[FormulaPath, Comparison]] = []
+    aggregates: List[Tuple[FormulaPath, Aggregate]] = []
+    for path, node in walk_with_paths(renamed):
+        if isinstance(node, Atom):
+            atoms.append((path, node))
+        elif isinstance(node, Comparison):
+            comparisons.append((path, node))
+        elif isinstance(node, Aggregate) and node.op in ("SUM", "AVG"):
+            aggregates.append((path, node))
+
+    # seed kinds from atom positions; check constants against domains
+    for path, node in (atoms if schema is not None else ()):
+        try:
+            relation = schema.relation(node.relation)
+        except SchemaError:
+            continue
+        if len(node.terms) != relation.arity:
+            continue
+        for position, term in enumerate(node.terms):
+            domain = relation.attributes[position].domain
+            attribute = relation.attributes[position].name
+            where = f"{node.relation}.{attribute}"
+            if isinstance(term, Const):
+                if not domain.contains(term.value):
+                    out.append((
+                        f"constant {term.value!r} does not fit domain "
+                        f"{domain.value!r} of {where}",
+                        path, renamed,
+                    ))
+            elif isinstance(term, Var):
+                narrow(term.name, _domain_kind(domain), f"at {where}",
+                       path)
+
+    # propagate kinds through var-vs-var comparisons to a fixpoint
+    # (any operator links the kinds: comparing a string to a number is
+    # a conflict whatever the relation; note normalization may have
+    # flipped a source `=` into `!=` under a pushed negation)
+    links: List[Tuple[str, str, Formula, FormulaPath]] = [
+        (node.left.name, node.right.name, node, path)
+        for path, node in comparisons
+        if isinstance(node.left, Var) and isinstance(node.right, Var)
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for left, right, node, path in links:
+            merged = kinds.get(left, _BOTH) & kinds.get(right, _BOTH)
+            for var in (left, right):
+                if kinds.get(var, _BOTH) != merged:
+                    if not merged:
+                        narrow(var, merged, f"via {node}", path)
+                    else:
+                        kinds[var] = merged
+                    changed = True
+
+    def kind_of(term) -> FrozenSet[str]:
+        if isinstance(term, Const):
+            return _value_kind(term.value)
+        return kinds.get(term.name, _BOTH)
+
+    # check every comparison for kind clashes
+    for path, node in comparisons:
+        left, right = kind_of(node.left), kind_of(node.right)
+        if not left or not right:
+            continue  # already reported as a variable conflict
+        if not left & right:
+            out.append((
+                f"comparison {node} mixes {_kind_word(left)} and "
+                f"{_kind_word(right)} operands",
+                path, renamed,
+            ))
+
+    # SUM/AVG need numeric measures
+    for path, node in aggregates:
+        measure = node.over[0]
+        if kinds.get(measure, _BOTH) == _STR:
+            out.append((
+                f"{node.op} aggregates string-valued variable "
+                f"{measure!r} (in {node})",
+                path, renamed,
+            ))
+    return out
 
 
 class _NodeEvaluator:
@@ -360,7 +512,8 @@ class IncrementalChecker(Engine):
         """Cumulative counts of the work the hot path has done.
 
         ``view_evaluations`` is how often any maintained view ran the
-        evaluator (the rest of its refreshes reused last step's table),
+        evaluator, or the refresh its formula's shape has in its place
+        (the rest of its refreshes reused last step's table),
         ``view_keys`` how many affected keys its restricted runs
         re-evaluated, ``bound_visits`` how many stored runs the
         auxiliary states touched because a window bound passed them and

@@ -22,14 +22,19 @@ its ``S``; :func:`repro.core.foeval.evaluate` is re-run with exactly
 those keys as its context and the stored rows under those keys are
 replaced by what it returns.
 
-There is one evaluator and one code path: when a leaf shares no
-variable with the result, when the view missed a step, or when the
-affected keys are most of the input anyway, the context is simply
-"everything" — the ordinary evaluation, through the same call.
+When a leaf shares no variable with the result, when the view missed
+a step, or when the affected keys are most of the input anyway, the
+context is simply "everything" — the ordinary evaluation, through the
+same call.  Three formula shapes compute the same rows under the same
+keys without the evaluator — set operations, or a probe of a leaf's
+index — and a view of such a shape chooses that refresh once, when it
+binds its leaves (:class:`View`).
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress, repeat
+from operator import itemgetter, not_
 from typing import (
     Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
@@ -42,11 +47,14 @@ from repro.core.foeval import (
     relation_atom_table,
 )
 from repro.core.formulas import (
+    COMPARISON_OPS,
     Aggregate,
+    And,
     Atom,
     Comparison,
     Exists,
     Formula,
+    Not,
     Var,
 )
 from repro.db.algebra import UNCHANGED, Delta, Table, tuple_of
@@ -279,8 +287,22 @@ class View:
     The result table is the view's own (:meth:`Table.owned`): refreshes
     patch it in place, once each, so whoever reads it every step follows
     it by version.  A view of a bare leaf whose table already has the
-    view's header keeps no copy: it hands out the leaf's table, with the
-    same accounting.
+    view's header keeps no copy: it hands out the leaf's table.
+
+    How a view refreshes is chosen once, when it is bound to a provider,
+    from the shape of its formula and the headers of its leaves:
+
+    * a bare leaf under the view's header is *forwarded*;
+    * a conjunction of leaves and negated leaves, each over exactly the
+      view's columns (the violation of ``guard(x) -> T(x)``), is *set
+      algebra* over the affected keys: ``K ∩ P₁ ∩ … − N₁ − …``;
+    * ``EXISTS y. A(x, y) AND cmp…`` over one leaf, with or without a
+      context, *probes* the leaf's index per affected key and filters
+      the rows found by the comparisons, column by column;
+    * anything else is the *restricted evaluation* below.
+
+    Every shape falls back to evaluating in full, through the one
+    evaluator, where the restricted evaluation does.
 
     Args:
         formula: the kernel formula to maintain.
@@ -295,8 +317,8 @@ class View:
 
     __slots__ = (
         "formula", "columns", "table", "evaluations", "keys_evaluated",
-        "_leaves", "_provider", "_sources", "_forwarded", "_context_keys",
-        "_context", "_context_mark", "_stamp",
+        "_leaves", "_provider", "_sources", "_kernel", "_shape",
+        "_context_keys", "_context", "_context_mark", "_stamp",
     )
 
     def __init__(
@@ -306,18 +328,20 @@ class View:
         self.columns = header_of(formula) if columns is None else columns
         #: the maintained result (empty before the first refresh)
         self.table = Table.owned(self.columns, ())
-        #: refreshes that ran the evaluator at all (the rest reused)
+        #: refreshes that ran the evaluator, or a refresh of a shape in
+        #: its place (the rest reused last step's table)
         self.evaluations = 0
-        #: affected keys re-evaluated by restricted refreshes
+        #: affected keys re-evaluated by refreshes that restrict
         self.keys_evaluated = 0
         self._leaves = leaves_of(formula)
         #: the provider whose cells the leaves are bound to
         self._provider: Optional[StateProvider] = None
         #: each leaf's cell with how its rows map to this view's keys
         self._sources: List[Tuple[Leaf, _Keys]] = []
-        #: the cell whose table *is* the result (a bare leaf under the
-        #: view's own header, evaluated without a context)
-        self._forwarded: Optional[Leaf] = None
+        #: the refresh chosen at binding (a function of the view), and
+        #: what it was chosen with
+        self._kernel = View._restricted
+        self._shape: object = None
         self._context_keys: Optional[_Keys] = None
         #: the context of the last refresh, and its mark then
         self._context: Optional[Table] = None
@@ -335,7 +359,8 @@ class View:
         With a ``context`` the result is that of
         ``evaluate(formula, provider, context)`` — the context rows
         that satisfy the formula — and the context's own change since
-        the last refresh counts as affected keys too.
+        the last refresh counts as affected keys too.  A view is
+        refreshed with a context always or never.
         """
         stamp = provider.stamp
         if stamp != self._stamp:
@@ -344,7 +369,9 @@ class View:
             # patched, and context and stamp move only after that, so a
             # refresh that raised is redone from the table and the
             # context delta it started from
-            self._refresh(provider, context, stamp)
+            if provider is not self._provider:
+                self._bind(provider, context)
+            self._kernel(self, provider, context, stamp)
             self._context = context
             if context is not None:
                 self._context_mark = context.mark()
@@ -352,30 +379,154 @@ class View:
         return self.table
 
     def _bind(self, provider: StateProvider, context: Optional[Table]) -> None:
-        """Bind each leaf to its cell once: from here on a refresh reads
-        attributes instead of asking by formula."""
+        """Bind each leaf to its cell once, and choose the refresh: from
+        here on a refresh reads attributes instead of asking by
+        formula."""
         self._sources = [
             (provider.cell(leaf), _Keys(self._shared_with(shared)))
             for leaf, shared in self._leaves
         ]
-        self._forwarded = None
-        if (
-            context is None
-            and len(self._leaves) == 1
-            and self._leaves[0][0] == self.formula
-        ):
-            cell = self._sources[0][0]
-            if cell.stamp == provider.stamp and (
-                cell.table.columns == self.columns
-            ):
-                self._forwarded = cell
         self._provider = provider
+        self._kernel, self._shape = View._restricted, None
+        cells = {cell.formula: cell for cell, _keys in self._sources}
+        if any(cell.stamp != provider.stamp for cell in cells.values()):
+            return  # a header that is not known yet decides nothing
+        formula, columns = self.formula, self.columns
+        if context is None and formula in cells:
+            if cells[formula].table.columns == columns:
+                self._kernel, self._shape = View._forward, cells[formula]
+            return
+        if context is None and isinstance(formula, And):
+            shape = _conjunction_shape(formula, columns, cells)
+            if shape is not None:
+                self._kernel, self._shape = View._conjoin, shape
+            return
+        if isinstance(formula, Exists) and len(cells) == 1:
+            shape = _probe_shape(
+                formula, columns, next(iter(cells.values())),
+                None if context is None else context.columns,
+            )
+            if shape is not None:
+                self._kernel, self._shape = View._probe, shape
 
-    def _refresh(
+    # -- the refreshes -------------------------------------------------
+
+    def _forward(
         self, provider: StateProvider, context: Optional[Table], stamp: int
     ) -> None:
-        if provider is not self._provider:
-            self._bind(provider, context)
+        cell = self._shape
+        if cell.stamp != stamp:  # the leaf was not advanced: raises
+            provider.temporal_table(cell.formula)
+        delta = cell.delta
+        if stamp != self._stamp + 1 or delta is None or delta[0] or delta[1]:
+            self.evaluations += 1  # what the evaluator would have run for
+        self.table = cell.table
+
+    def _conjoin(
+        self, provider: StateProvider, context: Optional[Table], stamp: int
+    ) -> None:
+        if stamp != self._stamp + 1:
+            return self._evaluate_whole(provider, context)
+        conjuncts = self._shape
+        keys: Set[Row] = set()
+        for cell, to_view, _to_leaf, _positive in conjuncts:
+            delta = cell.delta
+            if cell.stamp != stamp or delta is None:
+                return self._evaluate_whole(provider, context)
+            added, removed = delta
+            if added or removed:
+                if to_view is None:
+                    keys.update(added, removed)
+                else:
+                    keys.update(map(to_view, added), map(to_view, removed))
+        if not keys:
+            return None
+        self.evaluations += 1
+        self.keys_evaluated += len(keys)
+        fresh = keys
+        for cell, _to_view, to_leaf, positive in conjuncts:
+            rows = cell.table.rows
+            if to_leaf is None:
+                fresh = fresh & rows if positive else fresh - rows
+            else:
+                held = map(rows.__contains__, map(to_leaf, fresh))
+                fresh = set(compress(
+                    fresh, held if positive else map(not_, held)
+                ))
+        table = self.table
+        table.patch(fresh, table.rows.intersection(keys))
+        return None
+
+    def _probe(
+        self, provider: StateProvider, context: Optional[Table], stamp: int
+    ) -> None:
+        if stamp != self._stamp + 1:
+            return self._evaluate_whole(provider, context)
+        cell, key_columns, positions, to_key, unwrap, of_context, filters = (
+            self._shape
+        )
+        delta = cell.delta
+        if cell.stamp != stamp or delta is None:
+            return self._evaluate_whole(provider, context)
+        keys: Set[Row] = set()
+        added, removed = delta
+        if added or removed:
+            keys.update(map(to_key, added), map(to_key, removed))
+        if context is not None:
+            delta = context.delta_since(self._context_mark)
+            if delta is None:
+                return self._evaluate_whole(provider, context)
+            added, removed = delta
+            if added or removed:
+                if of_context is None:
+                    keys.update(added, removed)
+                else:
+                    keys.update(
+                        map(of_context, added), map(of_context, removed)
+                    )
+        if not keys:
+            return None
+        leaf = cell.table
+        # the cached index read directly: no call once it is built
+        index = leaf._indexes.get(positions)
+        if index is None:
+            index = leaf._index_at(positions)
+        rows = list(chain.from_iterable(map(
+            index.get, keys if unwrap is None else map(unwrap, keys),
+            repeat(()),
+        )))
+        try:
+            for test, left, left_value, right, right_value in filters:
+                rows = list(compress(rows, map(
+                    test,
+                    repeat(left_value) if left is None else map(left, rows),
+                    repeat(right_value) if right is None else map(right, rows),
+                )))
+        except TypeError:
+            # a value the bare operator cannot order: the evaluator
+            # finds it again and raises the error that names it
+            return self._restricted(provider, context, stamp)
+        self.evaluations += 1
+        self.keys_evaluated += len(keys)
+        found = set(map(to_key, rows))
+        table = self.table
+        if of_context is None:
+            if context is not None:
+                found &= context.rows
+            table.patch(found, table.rows.intersection(keys))
+        else:
+            candidates = context.matching(key_columns, keys)
+            table.patch(
+                compress(candidates, map(
+                    found.__contains__, map(of_context, candidates)
+                )),
+                table.matching(key_columns, keys),
+            )
+        return None
+
+    def _restricted(
+        self, provider: StateProvider, context: Optional[Table], stamp: int
+    ) -> None:
         table = self.table
         if stamp != self._stamp + 1:
             return self._evaluate_whole(provider, context)
@@ -417,9 +568,6 @@ class View:
 
         self.evaluations += 1
         self.keys_evaluated += count
-        if self._forwarded is not None:
-            self.table = self._forwarded.table
-            return None
         gained: Set[Row] = set()
         lost: Set[Row] = set()
         for columns, keys in affected.items():
@@ -437,10 +585,92 @@ class View:
     ) -> None:
         self.evaluations += 1
         result = evaluate(self.formula, provider, context)
-        if self._forwarded is not None:
-            self.table = result  # the leaf's own table, patched by its owner
-            return
         # the result may be another owner's table: only its rows are
         # taken, into the view's own
         fresh, rows = result.project(self.columns).rows, self.table.rows
         self.table.patch(fresh - rows, rows - fresh)
+
+
+def _conjunction_shape(
+    formula: And, columns: Tuple[str, ...], cells: Mapping[Formula, Leaf]
+) -> Optional[list]:
+    """``(cell, leaf row -> key, key -> leaf row, positive)`` per
+    conjunct, positive ones first, when every conjunct is a leaf or a
+    negated leaf over exactly ``columns`` (either projection ``None``
+    where the leaf's header is ``columns``); ``None`` otherwise."""
+    wanted = set(columns)
+    if not wanted:
+        return None
+    shape = []
+    for operand in formula.operands:
+        positive = not isinstance(operand, Not)
+        cell = cells.get(operand if positive else operand.operand)
+        if cell is None:
+            return None
+        header = cell.table.columns
+        if set(header) != wanted:
+            return None
+        aligned = header == columns
+        shape.append((
+            cell,
+            None if aligned else tuple_of([header.index(c) for c in columns]),
+            None if aligned else tuple_of([columns.index(c) for c in header]),
+            positive,
+        ))
+    shape.sort(key=lambda conjunct: not conjunct[3])
+    return shape if shape[0][3] else None
+
+
+def _probe_shape(
+    formula: Exists,
+    columns: Tuple[str, ...],
+    cell: Leaf,
+    context: Optional[Tuple[str, ...]],
+) -> Optional[tuple]:
+    """What :meth:`View._probe` reads, when ``formula`` is ``EXISTS y.
+    L(x, y) AND cmp…`` — one leaf ``L`` and comparisons between its
+    columns and constants — and its free variables are the view's
+    columns (no ``context``) or among them, the columns of the context;
+    ``None`` otherwise."""
+    header = cell.table.columns
+    free = formula.free_vars
+    if not free or (
+        set(columns) != free if context is None else (
+            context != columns or not free <= set(columns)
+        )
+    ):
+        return None
+    body = formula.operand
+    conjuncts = body.operands if isinstance(body, And) else (body,)
+    if sum(conjunct == cell.formula for conjunct in conjuncts) != 1:
+        return None
+    filters = []
+    for conjunct in conjuncts:
+        if conjunct == cell.formula:
+            continue
+        if not isinstance(conjunct, Comparison):
+            return None
+        sides: list = []
+        for term in (conjunct.left, conjunct.right):
+            if isinstance(term, Var):
+                if term.name not in header:
+                    return None
+                sides += [itemgetter(header.index(term.name)), None]
+            else:
+                sides += [None, term.value]
+        if sides[0] is None and sides[2] is None:
+            return None
+        filters.append((COMPARISON_OPS[conjunct.op], *sides))
+    key_columns = tuple(c for c in columns if c in free)
+    positions = tuple(header.index(c) for c in key_columns)
+    return (
+        cell,
+        key_columns,
+        positions,
+        tuple_of(positions),
+        itemgetter(0) if len(positions) == 1 else None,
+        None if key_columns == columns else tuple_of(
+            [columns.index(c) for c in key_columns]
+        ),
+        filters,
+    )

@@ -193,8 +193,9 @@ class Table:
         #: positions -> index, filled lazily; shared with renamed views
         #: of the same rows
         self._indexes: Dict[Tuple[int, ...], Index] = {}
-        #: ``[version, added, removed]`` of the last patch, a list only
-        #: an owned table has; shared with renamed views
+        #: ``[version, added, removed, (version, frozen rows) of the
+        #: last snapshot]``, a list only an owned table has; shared
+        #: with renamed views
         self._log: Any = _FROZEN
 
     @classmethod
@@ -221,7 +222,9 @@ class Table:
         """A table the caller may :meth:`patch`, holding a copy of
         ``rows`` (which must fit ``columns``, as for a result of the
         algebra)."""
-        return cls._trusted(columns, set(rows), None, [0, _NO_ROWS, _NO_ROWS])
+        return cls._trusted(
+            columns, set(rows), None, [0, _NO_ROWS, _NO_ROWS, None]
+        )
 
     def __reduce__(self):
         # only the relation travels (shard workers pickle witness
@@ -341,6 +344,8 @@ class Table:
         log = self._log
         if log is _FROZEN:
             raise AlgebraError("only a table made by Table.owned is patched")
+        if not added and not removed:  # empty collections: no change
+            return UNCHANGED
         change = effective_change(self.rows, added, removed)
         gained, lost = change
         if not gained and not lost:
@@ -374,10 +379,16 @@ class Table:
 
     def snapshot(self) -> "Table":
         """The table as it is now, for good: a frozen copy of an owned
-        table, the table itself otherwise."""
-        if self._log is _FROZEN:
+        table, the table itself otherwise.  The copy is made once per
+        version: a table that did not change since the last snapshot
+        hands out the same rows again."""
+        log = self._log
+        if log is _FROZEN:
             return self
-        return Table._trusted(self.columns, frozenset(self.rows))
+        frozen = log[3]
+        if frozen is None or frozen[0] != log[0]:
+            frozen = log[3] = (log[0], frozenset(self.rows))
+        return Table._trusted(self.columns, frozen[1])
 
     # ------------------------------------------------------------------
     # unary operations

@@ -15,14 +15,14 @@ and assembles a report.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro.core.bounds import clock_horizon
+from repro.core.checker import type_conflicts
 from repro.core.formulas import (
     FALSE,
     TRUE,
-    Aggregate,
     And,
     Atom,
     Comparison,
@@ -45,7 +45,6 @@ from repro.core.optimize import _truth_of, optimize
 from repro.core.paths import FormulaPath, walk_with_paths
 from repro.core.safety import collect_unsafe
 from repro.db.schema import DatabaseSchema
-from repro.db.types import Domain
 from repro.errors import SchemaError
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import LintConfig
@@ -55,12 +54,6 @@ if TYPE_CHECKING:
 
 #: Past operators whose windows bound the auxiliary state.
 _PAST_OPERATORS = (Prev, Once, Hist, Since)
-
-#: Type "kinds" for the lightweight inference: every domain maps onto
-#: numbers, strings, or both.
-_NUM: FrozenSet[str] = frozenset({"num"})
-_STR: FrozenSet[str] = frozenset({"str"})
-_BOTH: FrozenSet[str] = _NUM | _STR
 
 
 def _diag(
@@ -128,22 +121,6 @@ def check_schema(
     return [d for d in out if d is not None]
 
 
-def _domain_kind(domain: Domain) -> FrozenSet[str]:
-    if domain is Domain.STR:
-        return _STR
-    if domain is Domain.ANY:
-        return _BOTH
-    return _NUM
-
-
-def _value_kind(value: object) -> FrozenSet[str]:
-    return _STR if isinstance(value, str) else _NUM
-
-
-def _kind_word(kinds: FrozenSet[str]) -> str:
-    return "/".join(sorted(kinds)) if kinds else "nothing"
-
-
 def check_types(
     name: str,
     formula: Formula,
@@ -152,115 +129,17 @@ def check_types(
 ) -> List[Diagnostic]:
     """RTC003: constants and comparisons vs. the declared domains.
 
-    A deliberately lightweight inference: variables are classified as
-    numeric, string, or either (``ANY``), seeded from the attribute
-    positions they occupy and propagated through equalities.  Only
-    *certain* conflicts are reported, so ``ANY`` attributes never
-    produce false positives.
+    The inference is the one :meth:`Constraint.validate_schema
+    <repro.core.checker.Constraint.validate_schema>` refuses a
+    constraint by (:func:`repro.core.checker.type_conflicts`); here
+    every finding is reported, with its location.
     """
     if not config.enabled("RTC003"):
         return []
-    # normalize desugars and renames bound variables apart, so one
-    # global kind map per variable is sound; atoms and comparisons
-    # survive normalization (negation only flips comparison operators)
-    renamed = normalize(formula)
-    out: List[Diagnostic] = []
-    kinds: Dict[str, FrozenSet[str]] = {}
-    conflicted: Set[str] = set()
-
-    def narrow(var: str, kind: FrozenSet[str], context: str,
-               path: FormulaPath) -> None:
-        previous = kinds.get(var, _BOTH)
-        kinds[var] = previous & kind
-        if not kinds[var] and var not in conflicted:
-            conflicted.add(var)
-            out.append(_diag(
-                config, "RTC003",
-                f"variable {var!r} is used at both numeric and string "
-                f"positions ({context})",
-                name, path, renamed,
-            ))
-
-    # seed kinds from atom positions; check constants against domains
-    for path, node in walk_with_paths(renamed):
-        if not isinstance(node, Atom) or schema is None:
-            continue
-        try:
-            relation = schema.relation(node.relation)
-        except SchemaError:
-            continue  # RTC001's problem
-        if len(node.terms) != relation.arity:
-            continue  # RTC002's problem
-        for position, term in enumerate(node.terms):
-            domain = relation.attributes[position].domain
-            attribute = relation.attributes[position].name
-            where = f"{node.relation}.{attribute}"
-            if isinstance(term, Const):
-                if not domain.contains(term.value):
-                    out.append(_diag(
-                        config, "RTC003",
-                        f"constant {term.value!r} does not fit domain "
-                        f"{domain.value!r} of {where}",
-                        name, path, renamed,
-                    ))
-            elif isinstance(term, Var):
-                narrow(term.name, _domain_kind(domain), f"at {where}",
-                       path)
-
-    # propagate kinds through var-vs-var comparisons to a fixpoint
-    # (any operator links the kinds: comparing a string to a number is
-    # a conflict whatever the relation; note normalization may have
-    # flipped a source `=` into `!=` under a pushed negation)
-    links: List[Tuple[str, str, Formula, FormulaPath]] = []
-    for path, node in walk_with_paths(renamed):
-        if (isinstance(node, Comparison)
-                and isinstance(node.left, Var)
-                and isinstance(node.right, Var)):
-            links.append((node.left.name, node.right.name, node, path))
-    changed = True
-    while changed:
-        changed = False
-        for left, right, node, path in links:
-            merged = kinds.get(left, _BOTH) & kinds.get(right, _BOTH)
-            for var in (left, right):
-                if kinds.get(var, _BOTH) != merged:
-                    if not merged:
-                        narrow(var, merged, f"via {node}", path)
-                    else:
-                        kinds[var] = merged
-                    changed = True
-
-    def kind_of(term) -> FrozenSet[str]:
-        if isinstance(term, Const):
-            return _value_kind(term.value)
-        return kinds.get(term.name, _BOTH)
-
-    # check every comparison for kind clashes
-    for path, node in walk_with_paths(renamed):
-        if not isinstance(node, Comparison):
-            continue
-        left, right = kind_of(node.left), kind_of(node.right)
-        if not left or not right:
-            continue  # already reported as a variable conflict
-        if not left & right:
-            out.append(_diag(
-                config, "RTC003",
-                f"comparison {node} mixes {_kind_word(left)} and "
-                f"{_kind_word(right)} operands",
-                name, path, renamed,
-            ))
-
-    # SUM/AVG need numeric measures
-    for path, node in walk_with_paths(renamed):
-        if isinstance(node, Aggregate) and node.op in ("SUM", "AVG"):
-            measure = node.over[0]
-            if kinds.get(measure, _BOTH) == _STR:
-                out.append(_diag(
-                    config, "RTC003",
-                    f"{node.op} aggregates string-valued variable "
-                    f"{measure!r} (in {node})",
-                    name, path, renamed,
-                ))
+    out = [
+        _diag(config, "RTC003", message, name, path, root)
+        for message, path, root in type_conflicts(formula, schema)
+    ]
     return [d for d in out if d is not None]
 
 

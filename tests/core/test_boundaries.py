@@ -101,6 +101,54 @@ class TestStateBoundaries:
         assert history.query("p(x) UNTIL[1,5] q(x)", at=0).values("x") == {1}
 
 
+class TestEmptyStepIsAnAnchor:
+    """An empty step is not a no-op: under point semantics every state
+    is an anchor for whatever holds at it.  ``f(1)`` is inserted at
+    t=0; at t=8 it goes and ``g(1)`` comes.  Without a state between,
+    ``ONCE[0,5] f(k)`` looks back to t=3 and finds no state at all; with
+    an empty step at t=3, that state still holds ``f(1)``."""
+
+    CONSTRAINT = "g(k) -> ONCE[0,5] f(k)"
+
+    @pytest.fixture
+    def fg(self):
+        return DatabaseSchema.from_dict({"f": ["k"], "g": ["k"]})
+
+    @staticmethod
+    def stream(empty_step):
+        steps = [(0, Transaction({"f": [(1,)]}))]
+        if empty_step:
+            steps.append((3, Transaction.noop()))
+        steps.append((8, Transaction({"g": [(1,)]}, {"f": [(1,)]})))
+        return steps
+
+    @pytest.mark.parametrize("empty_step", [False, True])
+    def test_the_engines_and_the_semantics_agree(self, fg, empty_step):
+        from repro.core.naive import NaiveChecker
+
+        constraint = Constraint("c", self.CONSTRAINT)
+        engines = [
+            IncrementalChecker(fg, [constraint]),
+            NaiveChecker(fg, [constraint]),
+        ]
+        history = History(fg)
+        state = DatabaseState.empty(fg)
+        for time, txn in self.stream(empty_step):
+            reports = [engine.step(time, txn) for engine in engines]
+            state = state.apply(txn)
+            history.append(time, state)
+        reference = HistoryEvaluator(history).table_at(
+            constraint.violation_formula, len(history) - 1
+        )
+        violated = not empty_step
+        assert [not report.ok for report in reports] == [violated] * 2
+        assert (not reference.is_empty) == violated
+        if violated:
+            assert reference.values("k") == {1}
+            for report in reports:
+                assert report.violations[0].witnesses == reference
+
+
 class TestDelayedBoundaries:
     def test_state_exactly_at_horizon_not_yet_final(self, schema):
         checker = DelayedChecker(

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from repro import Monitor, Transaction, UnsafeFormulaError
+from repro import DatabaseSchema, Monitor, Transaction, UnsafeFormulaError
+from repro.core import ENGINES
 from repro.core import builder as b
 from repro.errors import MonitorError, SchemaError
 
@@ -47,6 +48,23 @@ class TestRegistration:
         monitor = Monitor(tiny_schema)
         with pytest.raises(SchemaError):
             monitor.add_constraint("bad", "p(x, y) -> q(x)")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_mistyped_comparison_rejected_eagerly(self, engine):
+        """A string column compared with a number is refused when the
+        constraint is registered, not at the first row that reaches the
+        comparison (after that row's state is installed)."""
+        schema = DatabaseSchema.builder().relation(
+            "reading", [("sensor", "str"), ("value", "str")]
+        ).relation("alert", [("sensor", "str")]).build()
+        monitor = Monitor(schema, engine=engine)
+        with pytest.raises(SchemaError, match="mixes str and num"):
+            monitor.add_constraint(
+                "hot", "reading(x, y) AND y > 90 -> alert(x)"
+            )
+        assert monitor.constraints == []
+        monitor.step(0, Transaction({"reading": [("s1", "95")]}))
+        assert monitor.now == 0
 
     def test_constraint_file(self, tiny_schema):
         monitor = Monitor(tiny_schema)
